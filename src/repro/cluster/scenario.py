@@ -40,6 +40,9 @@ from __future__ import annotations
 import inspect
 from array import array
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from itertools import compress, cycle, islice
+from math import lcm
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.cluster.cohort import CohortFlow, CohortModel
@@ -63,7 +66,8 @@ from repro.jpie import DynamicClass
 from repro.net import LatencyModel
 from repro.net.simnet import Host
 from repro.rmitypes import RmiType, VOID
-from repro.traffic.arrivals import resolve_offsets
+from repro.traffic.arrivals import resolve_offsets, resolves_sorted
+from repro.util.validation import require_finite, require_non_negative
 
 #: Default protocol for services that do not name a technology.
 DEFAULT_TECHNOLOGY = "soap"
@@ -310,7 +314,8 @@ class Scenario:
         declared service of its assigned protocol; protocols are assigned by
         a deterministic weighted interleave.  ``arrival`` staggers start
         times: a float ``s`` starts client *i* at ``i * s``, a callable maps
-        the client index to its offset, and an
+        the client index to its offset, a list of ``count`` floats gives the
+        offsets outright (how trace replay passes recorded offsets), and an
         :class:`~repro.traffic.arrivals.ArrivalProcess` (``Poisson``,
         ``ParetoHeavyTail``, ``Diurnal``, ``FlashCrowd``, ``ClientChurn``)
         draws the whole group's offsets from one seeded stream — open-loop
@@ -334,6 +339,9 @@ class Scenario:
             raise ClusterError("a client group needs at least one client")
         if service is not None and protocol_mix is not None:
             raise ClusterError("give a client group either a service or a protocol_mix")
+        for name, weight in (protocol_mix or {}).items():
+            require_finite(weight, f"protocol_mix weight {name!r}", ClusterError)
+            require_non_negative(weight, f"protocol_mix weight {name!r}", ClusterError)
         if cohort is not None and not isinstance(cohort, CohortModel):
             raise ClusterError(
                 f"cohort must be a CohortModel, got {type(cohort).__name__}"
@@ -414,21 +422,55 @@ class Scenario:
         )
 
 
+#: Longest interleave period that is tiled rather than run slot by slot.
+MAX_INTERLEAVE_PERIOD = 4096
+
+
 def _weighted_interleave(mix: Sequence[tuple[str, float]], count: int) -> list[str]:
-    """Deterministically spread ``count`` slots over weighted protocol names."""
+    """Deterministically spread ``count`` slots over weighted protocol names.
+
+    Returns the sequence's repeating unit: slot ``i`` (0-based) goes to
+    ``unit[i % len(unit)]``.  The protocol furthest behind its target share
+    wins each slot (ties: declaration order), so mixes interleave instead
+    of blocking.
+
+    Float shares are dyadic rationals.  When their common denominator ``P``
+    is small and they sum to exactly 1, every float operation of the rule
+    is exact; if the rule's first ``P`` slots then give each protocol
+    exactly its share, all deficits are back to zero and the rule repeats
+    itself — that period is the whole answer.  Any other mix gets the
+    rule run over all ``count`` slots.
+    """
     names = [name for name, weight in mix if weight > 0]
     if not names:
         raise ClusterError("protocol_mix needs at least one positive weight")
     weights = dict(mix)
     total = sum(weights[name] for name in names)
-    assigned = {name: 0 for name in names}
-    sequence = []
-    for slot in range(1, count + 1):
-        # The protocol furthest behind its target share wins the slot
-        # (ties: declaration order), so mixes interleave instead of blocking.
-        name = max(names, key=lambda n: (weights[n] / total) * slot - assigned[n])
-        assigned[name] += 1
-        sequence.append(name)
+    shares = [weights[name] / total for name in names]
+    period = lcm(*(Fraction(share).denominator for share in shares))
+    tiles = (
+        period < count
+        and period <= MAX_INTERLEAVE_PERIOD
+        and sum(map(Fraction, shares)) == 1
+    )
+    assigned = [0] * len(names)
+    sequence: list[str] = []
+
+    def run_to(last_slot: int) -> None:
+        for slot in range(len(sequence) + 1, last_slot + 1):
+            best = 0
+            best_deficit = shares[0] * slot - assigned[0]
+            for rank in range(1, len(names)):
+                deficit = shares[rank] * slot - assigned[rank]
+                if deficit > best_deficit:
+                    best, best_deficit = rank, deficit
+            assigned[best] += 1
+            sequence.append(names[best])
+
+    run_to(period if tiles else count)
+    if tiles and any(share * period != taken for share, taken in zip(shares, assigned)):
+        # Deficits not back to zero after one period: no tile, run on.
+        run_to(count)
     return sequence
 
 
@@ -705,19 +747,24 @@ class ScenarioRuntime:
             # representatives' assignments are exactly what positions
             # 0..reps-1 would get in the all-discrete group and the flow
             # mass inherits the rest — cohort aggregation never shifts who
-            # speaks which protocol.
+            # speaks which protocol.  Position p speaks
+            # protocols[p % period]; each protocol that gets a slot is
+            # resolved to its service once.
             if group.service is not None:
                 entry = self.registry.lookup(group.service)
-                targets = [(entry.technology, entry.name)] * group.count
+                protocols = [entry.technology]
+                services = {entry.technology: entry.name}
             else:
                 mix = group.protocol_mix or ((self._default_technology(), 1.0),)
                 protocols = _weighted_interleave(mix, group.count)
-                targets = [
-                    (protocol, self._service_for_protocol(protocol).name)
-                    for protocol in protocols
-                ]
+                services = {
+                    protocol: self._service_for_protocol(protocol).name
+                    for protocol in dict.fromkeys(protocols)
+                }
+            period = len(protocols)
             for position in range(discrete_count):
-                protocol, service = targets[position]
+                protocol = protocols[position % period]
+                service = services[protocol]
                 operation = group.operation or self._default_operation(service)
                 plans.append(
                     ClientPlan(
@@ -738,12 +785,21 @@ class ScenarioRuntime:
                 index += 1
             if group.cohort is None or group.count <= discrete_count:
                 continue
-            members: dict[tuple[str, str], list[int]] = {}
-            for position in range(discrete_count, group.count):
-                members.setdefault(targets[position], []).append(position)
-            for (protocol, service), positions in members.items():
+            # The flow mass is positions discrete_count..count-1; tail
+            # position j speaks tail_protocols[j % period].  One flow per
+            # protocol, in order of first appearance in the tail, takes its
+            # offsets by a periodic mask.  A subsequence of sorted offsets
+            # is sorted, so only unsorted resolutions are sorted per flow.
+            phase = discrete_count % period
+            tail_protocols = protocols[phase:] + protocols[:phase]
+            presorted = resolves_sorted(group.arrival)
+            for protocol in dict.fromkeys(tail_protocols[: group.count - discrete_count]):
+                mask = [name == protocol for name in tail_protocols]
+                tail = islice(group_offsets, discrete_count, None)
+                taken = compress(tail, cycle(mask))
+                offsets = array("d", taken if presorted else sorted(taken))
+                service = services[protocol]
                 flow_number = len(flows) + 1
-                host = self._cohort_host(flow_number)
                 flows.append(
                     CohortFlow(
                         index=flow_number,
@@ -754,11 +810,9 @@ class ScenarioRuntime:
                         arguments=group.arguments,
                         calls=group.calls,
                         think_time=group.think_time,
-                        offsets=array(
-                            "d", sorted(group_offsets[p] for p in positions)
-                        ),
+                        offsets=offsets,
                         model=group.cohort,
-                        host=host,
+                        host=self._cohort_host(flow_number),
                         world=self.world,
                         registry=self.registry,
                     )

@@ -24,19 +24,42 @@ Determinism invariants (ARCHITECTURE.md "Traffic model & replay"):
 
 :func:`resolve_offsets` is the single entry point the cluster layer uses:
 it accepts the legacy scalar spacing, the legacy position→offset callable,
-and any :class:`ArrivalProcess`, replacing the scalar-vs-callable
-special-casing that used to live in ``cluster/scenario.py`` and
-``cluster/cohort.py``.
+a recorded offsets sequence (trace replay) and any :class:`ArrivalProcess`,
+replacing the scalar-vs-callable special-casing that used to live in
+``cluster/scenario.py`` and ``cluster/cohort.py``.
+
+Every setting is checked before use: a NaN or infinite rate, curve
+weight, spacing or offset raises a :class:`~repro.errors.ClusterError`
+naming the setting, before it can reach the virtual clock.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from itertools import accumulate, filterfalse, islice, repeat
+from math import isfinite, log
+from operator import mul
+from typing import Any, Iterable
 
 from repro.errors import ClusterError
+from repro.util.validation import (
+    require_finite,
+    require_non_negative,
+    require_positive,
+)
+
+
+def _require_positive(value: float, name: str) -> None:
+    require_finite(value, name, ClusterError)
+    require_positive(value, name, ClusterError)
+
+
+def _require_non_negative(value: float, name: str) -> None:
+    require_finite(value, name, ClusterError)
+    require_non_negative(value, name, ClusterError)
 
 
 @dataclass(frozen=True)
@@ -58,16 +81,15 @@ class ArrivalProcess:
         """The group's per-client start offsets, sorted (position = rank)."""
         if count < 0:
             raise ClusterError(f"arrival count must be non-negative, got {count}")
-        values = sorted(float(value) for value in self.sample(self._rng(), count))
+        values = list(map(float, self.sample(self._rng(), count)))
+        values.sort()
         if len(values) != count:
             raise ClusterError(
                 f"{type(self).__name__} produced {len(values)} offsets for "
                 f"{count} clients"
             )
-        if values and values[0] < 0:
-            raise ClusterError(
-                f"arrival offsets must be non-negative, got {values[0]}"
-            )
+        if values:
+            require_non_negative(values[0], "arrival offsets", ClusterError)
         return values
 
     def _rng(self) -> random.Random:
@@ -87,14 +109,17 @@ class Poisson(ArrivalProcess):
     rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ClusterError(f"Poisson rate must be positive, got {self.rate}")
+        _require_positive(self.rate, "Poisson rate")
 
     def sample(self, rng: random.Random, count: int) -> Iterable[float]:
-        now = 0.0
-        for _ in range(count):
-            now += rng.expovariate(self.rate)
-            yield now
+        # rng.expovariate(rate) inlined: the very expression its body
+        # evaluates, so every gap is bit-identical to an expovariate draw.
+        rate = self.rate
+        draw = rng.random
+        gaps = [-log(1.0 - draw()) / rate for _ in repeat(None, count)]
+        # Starting the running sum at 0.0 (then dropping that seed) adds
+        # exactly like ``now = 0.0; now += gap`` does, first gap included.
+        return islice(accumulate(gaps, initial=0.0), 1, None)
 
 
 @dataclass(frozen=True)
@@ -110,14 +135,8 @@ class ParetoHeavyTail(ArrivalProcess):
     scale: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ClusterError(
-                f"ParetoHeavyTail alpha must be positive, got {self.alpha}"
-            )
-        if self.scale <= 0:
-            raise ClusterError(
-                f"ParetoHeavyTail scale must be positive, got {self.scale}"
-            )
+        _require_positive(self.alpha, "ParetoHeavyTail alpha")
+        _require_positive(self.scale, "ParetoHeavyTail scale")
 
     def sample(self, rng: random.Random, count: int) -> Iterable[float]:
         now = 0.0
@@ -144,12 +163,11 @@ class Diurnal(ArrivalProcess):
         object.__setattr__(self, "curve", tuple(float(w) for w in self.curve))
         if not self.curve:
             raise ClusterError("Diurnal curve needs at least one segment")
-        if any(weight < 0 for weight in self.curve):
-            raise ClusterError("Diurnal curve weights must be non-negative")
+        for weight in self.curve:
+            _require_non_negative(weight, "Diurnal curve weight")
         if sum(self.curve) <= 0:
             raise ClusterError("Diurnal curve needs a positive total intensity")
-        if self.period <= 0:
-            raise ClusterError(f"Diurnal period must be positive, got {self.period}")
+        _require_positive(self.period, "Diurnal period")
 
     def sample(self, rng: random.Random, count: int) -> Iterable[float]:
         cumulative = [0.0]
@@ -181,16 +199,10 @@ class FlashCrowd(ArrivalProcess):
     rate: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ClusterError(f"FlashCrowd at must be non-negative, got {self.at}")
-        if self.magnitude < 0:
-            raise ClusterError(
-                f"FlashCrowd magnitude must be non-negative, got {self.magnitude}"
-            )
-        if self.decay <= 0:
-            raise ClusterError(f"FlashCrowd decay must be positive, got {self.decay}")
-        if self.rate <= 0:
-            raise ClusterError(f"FlashCrowd rate must be positive, got {self.rate}")
+        _require_non_negative(self.at, "FlashCrowd at")
+        _require_non_negative(self.magnitude, "FlashCrowd magnitude")
+        _require_positive(self.decay, "FlashCrowd decay")
+        _require_positive(self.rate, "FlashCrowd rate")
 
     def sample(self, rng: random.Random, count: int) -> Iterable[float]:
         crowd_share = self.magnitude / (self.magnitude + 1.0)
@@ -220,14 +232,8 @@ class ClientChurn(ArrivalProcess):
     population: int | None = None
 
     def __post_init__(self) -> None:
-        if self.join_rate <= 0:
-            raise ClusterError(
-                f"ClientChurn join_rate must be positive, got {self.join_rate}"
-            )
-        if self.leave_rate <= 0:
-            raise ClusterError(
-                f"ClientChurn leave_rate must be positive, got {self.leave_rate}"
-            )
+        _require_positive(self.join_rate, "ClientChurn join_rate")
+        _require_positive(self.leave_rate, "ClientChurn leave_rate")
         if self.population is not None and self.population < 1:
             raise ClusterError(
                 f"ClientChurn population must be at least 1, got {self.population}"
@@ -258,44 +264,48 @@ def resolve_offsets(arrival: Any, count: int) -> list[float]:
 
     * a float ``s`` staggers position *i* at ``i * s`` (the legacy form);
     * a callable maps the position to its offset;
+    * a recorded sequence (list, tuple or ``array``) of ``count`` offsets
+      is copied verbatim — trace replay hands back resolved offsets in
+      bulk, never re-sampling;
     * an :class:`ArrivalProcess` draws the whole group's offsets from its
       seeded stream (position = arrival rank).
 
-    Offsets must be non-negative; the same list feeds both the discrete
-    representatives and the modeled flow mass, so cohort aggregation never
-    shifts when anyone arrives.
+    Offsets must be finite and non-negative; the same list feeds both the
+    discrete representatives and the modeled flow mass, so cohort
+    aggregation never shifts when anyone arrives.  Whether the offsets
+    come back sorted is :func:`resolves_sorted`.
     """
     if count < 0:
         raise ClusterError(f"arrival count must be non-negative, got {count}")
     if isinstance(arrival, ArrivalProcess):
         return arrival.offsets(count)
-    if callable(arrival):
-        offsets = [float(arrival(position)) for position in range(count)]
+    if isinstance(arrival, (list, tuple, array)):
+        if len(arrival) != count:
+            raise ClusterError(
+                f"{len(arrival)} recorded arrival offsets for {count} clients"
+            )
+        offsets = list(map(float, arrival))
+    elif callable(arrival):
+        offsets = list(map(float, map(arrival, range(count))))
     else:
         step = float(arrival)
-        if step < 0:
-            raise ClusterError(f"arrival spacing must be non-negative, got {step}")
-        offsets = [position * step for position in range(count)]
-    for offset in offsets:
-        if offset < 0:
-            raise ClusterError(
-                f"arrival offsets must be non-negative, got {offset}"
-            )
+        _require_non_negative(step, "arrival spacing")
+        # int * float in C: the same product as ``position * step``.
+        return list(map(mul, range(count), repeat(step)))
+    if offsets:
+        non_finite = next(filterfalse(isfinite, offsets), None)
+        if non_finite is not None:
+            require_finite(non_finite, "arrival offsets", ClusterError)
+        require_non_negative(min(offsets), "arrival offsets", ClusterError)
     return offsets
 
 
-def offsets_for_positions(arrival: Any, positions: Sequence[int]) -> list[float]:
-    """The offsets a subset of group positions would get in the full group.
+def resolves_sorted(arrival: Any) -> bool:
+    """Whether :func:`resolve_offsets` returns ``arrival``'s offsets sorted.
 
-    Used by the legacy ``build_flow_offsets`` entry point: resolves enough
-    of the group (up to the highest position) and indexes into it, so a
-    flow's mass sees exactly the offsets its positions would have had in
-    an all-discrete group.
+    Scalar spacing and arrival processes do; a callable or a recording may
+    map positions to offsets in any order.
     """
-    if not positions:
-        return []
-    highest = max(positions)
-    if highest < 0 or min(positions) < 0:
-        raise ClusterError("group positions must be non-negative")
-    resolved = resolve_offsets(arrival, highest + 1)
-    return [resolved[position] for position in positions]
+    if isinstance(arrival, ArrivalProcess):
+        return True
+    return not (callable(arrival) or isinstance(arrival, (list, tuple, array)))

@@ -415,24 +415,6 @@ def scenario_to_spec(scenario: Scenario) -> dict[str, Any]:
     }
 
 
-class _ReplayOffsets:
-    """A recorded group's arrival law: position -> resolved offset.
-
-    Plugs into ``Scenario.clients(..., arrival=...)`` through the callable
-    branch of :func:`~repro.traffic.arrivals.resolve_offsets`, handing back
-    exactly the floats the recording resolved — replay never re-samples.
-    """
-
-    def __init__(self, offsets: list[float]) -> None:
-        self.offsets = [float(offset) for offset in offsets]
-
-    def __call__(self, position: int) -> float:
-        return self.offsets[position]
-
-    def __repr__(self) -> str:
-        return f"_ReplayOffsets(n={len(self.offsets)})"
-
-
 def scenario_from_spec(spec: Mapping[str, Any]) -> Scenario:
     """Rebuild a runnable :class:`Scenario` from a recorded spec dict."""
     scenario = Scenario(
@@ -473,7 +455,8 @@ def scenario_from_spec(spec: Mapping[str, Any]) -> Scenario:
             operation=group.get("operation"),
             arguments=tuple(group["arguments"]),
             think_time=group["think_time"],
-            arrival=_ReplayOffsets(offsets),
+            # Recorded offsets replay in bulk, never re-sampled.
+            arrival=offsets,
             stale_every=group.get("stale_every"),
             stale_operation=group["stale_operation"],
             retry=RetryPolicy(**retry) if retry is not None else None,

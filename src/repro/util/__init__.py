@@ -4,6 +4,7 @@ from repro.util.ids import IdGenerator, fresh_id
 from repro.util.rng import DeterministicRng
 from repro.util.validation import (
     require,
+    require_finite,
     require_identifier,
     require_non_negative,
     require_positive,
@@ -16,6 +17,7 @@ __all__ = [
     "fresh_id",
     "DeterministicRng",
     "require",
+    "require_finite",
     "require_identifier",
     "require_non_negative",
     "require_positive",

@@ -7,6 +7,7 @@ producing consistent, informative error messages.
 from __future__ import annotations
 
 import keyword
+import math
 import re
 from typing import Any
 
@@ -32,16 +33,28 @@ def require_type(value: Any, expected: type | tuple[type, ...], name: str) -> No
         )
 
 
-def require_positive(value: float, name: str) -> None:
-    """Raise :class:`ValueError` unless ``value`` is strictly positive."""
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
+def require_finite(
+    value: float, name: str, error: type[Exception] = ValueError
+) -> None:
+    """Raise ``error`` unless ``value`` is a finite number (not NaN or ±inf)."""
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
 
 
-def require_non_negative(value: float, name: str) -> None:
-    """Raise :class:`ValueError` unless ``value`` is zero or positive."""
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value!r}")
+def require_positive(
+    value: float, name: str, error: type[Exception] = ValueError
+) -> None:
+    """Raise ``error`` unless ``value`` is strictly positive (NaN is not)."""
+    if not value > 0:
+        raise error(f"{name} must be positive, got {value!r}")
+
+
+def require_non_negative(
+    value: float, name: str, error: type[Exception] = ValueError
+) -> None:
+    """Raise ``error`` unless ``value`` is zero or positive (NaN is not)."""
+    if not value >= 0:
+        raise error(f"{name} must be non-negative, got {value!r}")
 
 
 def require_identifier(value: str, name: str) -> None:

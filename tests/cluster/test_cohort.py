@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import CohortModel, Scenario, op
-from repro.cluster.cohort import build_flow_offsets
 from repro.cluster.presets import (
     cohort_scale_cost_model,
     fault_drill_scenario,
@@ -227,18 +226,30 @@ class TestCohortModelValidation:
             CohortModel(**kwargs)
 
 
+def _flow_offsets(clients, arrival, representatives=0):
+    """Each cohort flow's offsets, as the scenario's plan stage builds them."""
+    runtime = _echo_scenario(
+        clients,
+        calls=1,
+        replicas=1,
+        arrival=arrival,
+        cohort=CohortModel(representatives=representatives),
+    ).build()
+    _plans, flows = runtime._build_plans()
+    return [list(flow.offsets) for flow in flows]
+
+
 class TestFlowOffsets:
     def test_callable_offsets_are_sorted(self):
-        offsets = build_flow_offsets([0, 1, 2, 3], lambda i: (3 - i) * 0.5)
-        assert list(offsets) == [0.0, 0.5, 1.0, 1.5]
+        assert _flow_offsets(4, lambda i: (3 - i) * 0.5) == [[0.0, 0.5, 1.0, 1.5]]
 
     def test_float_step_scales_positions(self):
-        assert list(build_flow_offsets([4, 5, 6], 0.25)) == [1.0, 1.25, 1.5]
+        assert _flow_offsets(7, 0.25, representatives=4) == [[1.0, 1.25, 1.5]]
 
     def test_negative_step_rejected(self):
         with pytest.raises(ClusterError):
-            build_flow_offsets([0, 1], -0.1)
+            _flow_offsets(2, -0.1)
 
     def test_negative_offset_rejected(self):
         with pytest.raises(ClusterError):
-            build_flow_offsets([0, 1], lambda i: i - 1.0)
+            _flow_offsets(2, lambda i: i - 1.0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster import (
@@ -69,6 +71,21 @@ class TestScenarioBasics:
         protocols = [client.protocol for client in report.clients]
         assert protocols == ["soap", "corba"] * 4
         assert {client.service for client in report.clients} == {"EchoSoap", "EchoCorba"}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_protocol_mix_weights_must_be_finite_and_non_negative(self, bad):
+        # A NaN weight used to be dropped silently (nan > 0 is False).
+        with pytest.raises(ClusterError, match="protocol_mix weight 'corba'"):
+            Scenario().clients(2, protocol_mix={"soap": 1.0, "corba": bad})
+
+    def test_protocol_mix_zero_weight_is_allowed(self):
+        zero = (
+            Scenario()
+            .service("EchoSoap", [_echo_op()], technology="soap")
+            .clients(2, protocol_mix={"soap": 1.0, "corba": 0.0}, calls=1, arguments=("x",))
+            .run()
+        )
+        assert [client.protocol for client in zero.clients] == ["soap", "soap"]
 
     def test_mix_and_service_are_mutually_exclusive(self):
         with pytest.raises(ClusterError):

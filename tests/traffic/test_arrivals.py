@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +19,7 @@ from repro.traffic import (
     Poisson,
     resolve_offsets,
 )
-from repro.traffic.arrivals import offsets_for_positions
+from repro.traffic.arrivals import resolves_sorted
 
 ALL_PROCESSES = [
     Poisson(rate=200.0, seed=3),
@@ -139,22 +143,95 @@ class TestResolveOffsets:
         with pytest.raises(ClusterError, match="offsets must be non-negative"):
             resolve_offsets(lambda i: -1.0, 2)
 
-    @given(
-        positions=st.lists(st.integers(min_value=0, max_value=40), max_size=10),
-        seed=st.integers(min_value=0, max_value=5),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_offsets_for_positions_matches_full_group(self, positions, seed):
-        # A subset's offsets are exactly what those positions would get in
-        # the full group: cohort aggregation never shifts anyone's arrival.
-        process = Poisson(rate=100.0, seed=seed)
-        if positions:
-            full = resolve_offsets(process, max(positions) + 1)
-            expected = [full[p] for p in positions]
-        else:
-            expected = []
-        assert offsets_for_positions(process, positions) == expected
+    def test_recorded_offsets_are_copied_verbatim(self):
+        recorded = [0.3, 0.1, 0.2]
+        for sequence in (recorded, tuple(recorded), array("d", recorded)):
+            offsets = resolve_offsets(sequence, 3)
+            assert offsets == recorded
+            assert offsets is not sequence
 
-    def test_offsets_for_positions_rejects_negative(self):
-        with pytest.raises(ClusterError, match="positions must be non-negative"):
-            offsets_for_positions(0.1, [0, -1])
+    @pytest.mark.parametrize(
+        "arrival, presorted",
+        [
+            (0.5, True),
+            (Poisson(rate=5.0), True),
+            (lambda position: 1.0 - position, False),
+            ([0.2, 0.1], False),
+        ],
+    )
+    def test_resolves_sorted(self, arrival, presorted):
+        assert resolves_sorted(arrival) is presorted
+        if presorted:
+            offsets = resolve_offsets(arrival, 50)
+            assert offsets == sorted(offsets)
+
+    def test_recorded_offsets_must_match_the_count(self):
+        with pytest.raises(ClusterError, match="2 recorded arrival offsets for 3"):
+            resolve_offsets([0.0, 0.1], 3)
+
+
+def _reference_poisson(rate, seed, count):
+    """The pre-vectorised draw: expovariate gaps added one at a time."""
+    rng = random.Random(seed)
+    now = 0.0
+    offsets = []
+    for _ in range(count):
+        now += rng.expovariate(rate)
+        offsets.append(now)
+    return sorted(offsets)
+
+
+class TestPoissonBitIdentity:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        rate=st.floats(min_value=1e-3, max_value=1e7),
+        count=st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_offsets_equal_the_expovariate_accumulation(self, seed, rate, count):
+        offsets = Poisson(rate=rate, seed=seed).offsets(count)
+        expected = _reference_poisson(rate, seed, count)
+        assert [value.hex() for value in offsets] == [
+            value.hex() for value in expected
+        ]
+
+
+class TestNonFiniteSettingsRejected:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "build, setting",
+        [
+            (lambda v: Poisson(rate=v), "Poisson rate"),
+            (lambda v: ParetoHeavyTail(alpha=v), "ParetoHeavyTail alpha"),
+            (lambda v: ParetoHeavyTail(scale=v), "ParetoHeavyTail scale"),
+            (lambda v: Diurnal(curve=(1.0, v)), "Diurnal curve weight"),
+            (lambda v: Diurnal(period=v), "Diurnal period"),
+            (lambda v: FlashCrowd(at=v), "FlashCrowd at"),
+            (lambda v: FlashCrowd(magnitude=v), "FlashCrowd magnitude"),
+            (lambda v: FlashCrowd(decay=v), "FlashCrowd decay"),
+            (lambda v: FlashCrowd(rate=v), "FlashCrowd rate"),
+            (lambda v: ClientChurn(join_rate=v), "ClientChurn join_rate"),
+            (lambda v: ClientChurn(leave_rate=v), "ClientChurn leave_rate"),
+        ],
+    )
+    def test_process_settings(self, build, setting, bad):
+        with pytest.raises(ClusterError, match=f"{setting} must be finite"):
+            build(bad)
+
+    def test_nan_rate_no_longer_yields_nan_offsets(self):
+        with pytest.raises(ClusterError, match="Poisson rate must be finite"):
+            Poisson(rate=math.nan).offsets(3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_scalar_spacing(self, bad):
+        with pytest.raises(ClusterError, match="arrival spacing must be finite"):
+            resolve_offsets(bad, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_callable_offsets(self, bad):
+        with pytest.raises(ClusterError, match="arrival offsets must be finite"):
+            resolve_offsets(lambda i: bad if i == 1 else 0.0, 3)
+
+    def test_recorded_offsets(self):
+        with pytest.raises(ClusterError, match="arrival offsets must be finite"):
+            resolve_offsets([0.0, math.nan, 0.2], 3)

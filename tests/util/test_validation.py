@@ -1,9 +1,12 @@
 """Tests for the argument-validation helpers."""
 
+import math
+
 import pytest
 
 from repro.util.validation import (
     require,
+    require_finite,
     require_identifier,
     require_non_negative,
     require_positive,
@@ -49,6 +52,29 @@ class TestNumericChecks:
     def test_non_negative_rejects_negative(self):
         with pytest.raises(ValueError):
             require_non_negative(-0.1, "count")
+
+
+    @pytest.mark.parametrize("check", [require_positive, require_non_negative])
+    def test_nan_rejected(self, check):
+        with pytest.raises(ValueError, match="got nan"):
+            check(math.nan, "delay")
+
+    def test_finite_accepts_finite(self):
+        require_finite(0.0, "offset")
+        require_finite(-3, "offset")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_finite_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            require_finite(value, "offset")
+
+    def test_error_type_is_configurable(self):
+        with pytest.raises(KeyError):
+            require_finite(math.nan, "offset", KeyError)
+        with pytest.raises(KeyError):
+            require_positive(0, "delay", KeyError)
+        with pytest.raises(KeyError):
+            require_non_negative(-1, "count", KeyError)
 
 
 class TestRequireIdentifier:
