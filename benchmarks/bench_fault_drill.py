@@ -13,6 +13,13 @@ The central §6 assertion rides along: across crash, partition and
 failover, no client ever observes a published interface older than one it
 already saw (``total_recency_violations == 0``).
 
+``deterministic_interface_parses`` is the number of WSDL plus IDL parses
+in the first run, taken by wrapping the parser names the client stacks
+call.  Each replica parses its published document once, however
+many clients fetch it, so the count is four — two SOAP and two CORBA
+replicas.  A change that brings per-client parsing back multiplies it by
+the fleet size, which ``run_all.py --strict`` reads as changed work.
+
 ``REPRO_BENCH_QUICK=1`` (set by ``run_all.py --quick``) shrinks the fleet.
 
 Run with:  pytest benchmarks/bench_fault_drill.py --benchmark-only -s
@@ -21,9 +28,11 @@ Run with:  pytest benchmarks/bench_fault_drill.py --benchmark-only -s
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 import pytest
 
+from repro.cluster import protocols
 from repro.cluster.presets import (
     FAULT_DRILL_CLIENTS,
     FAULT_DRILL_CLIENTS_QUICK,
@@ -35,18 +44,23 @@ _QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 #: The acceptance floor is 256 clients; quick CI grids run a quarter of it.
 CLIENTS = FAULT_DRILL_CLIENTS_QUICK if _QUICK else FAULT_DRILL_CLIENTS
 
+#: Replicas of the drill's two services that publish a parsed document.
+REPLICA_DOCUMENTS = 4
+
 
 @pytest.mark.benchmark(group="fault-drill")
 def test_fault_drill_4x256_mixed(benchmark):
     """4 servers × 256 mixed clients through a crash + partition, deterministic."""
 
     def run_twice():
-        return (
-            fault_drill_scenario(CLIENTS).run(),
-            fault_drill_scenario(CLIENTS).run(),
-        )
+        with (
+            mock.patch.object(protocols, "parse_wsdl", wraps=protocols.parse_wsdl) as wsdl,
+            mock.patch.object(protocols, "parse_idl", wraps=protocols.parse_idl) as idl,
+        ):
+            first = fault_drill_scenario(CLIENTS).run()
+        return first, fault_drill_scenario(CLIENTS).run(), wsdl.call_count + idl.call_count
 
-    first, second = benchmark.pedantic(run_twice, rounds=1, iterations=1)
+    first, second, interface_parses = benchmark.pedantic(run_twice, rounds=1, iterations=1)
 
     # Byte-deterministic: identical RTT sequences, routing and event counts.
     assert first.all_rtts == second.all_rtts
@@ -67,6 +81,8 @@ def test_fault_drill_4x256_mixed(benchmark):
     crashed = [node for node in first.nodes if node.downtime_s > 0]
     assert [node.name for node in crashed] == ["server-1"]
     assert crashed[0].outages == 1
+    # Interface documents are parsed once per replica document, not per client.
+    assert interface_parses == REPLICA_DOCUMENTS
 
     benchmark.extra_info["clients"] = CLIENTS
     benchmark.extra_info["servers"] = 4
@@ -80,6 +96,7 @@ def test_fault_drill_4x256_mixed(benchmark):
     benchmark.extra_info["deterministic_failed_attempts"] = first.total_failed_attempts
     benchmark.extra_info["deterministic_retried_calls"] = first.total_retried_calls
     benchmark.extra_info["deterministic_abandoned_calls"] = first.total_abandoned_calls
+    benchmark.extra_info["deterministic_interface_parses"] = interface_parses
     benchmark.extra_info["recency_violations"] = first.total_recency_violations
     benchmark.extra_info["server1_downtime_s"] = round(crashed[0].downtime_s, 5)
     if crashed[0].recovery_latency_s is not None:

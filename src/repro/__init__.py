@@ -120,7 +120,7 @@ from repro.rmitypes import (
 )
 from repro.testbed import LiveDevelopmentTestbed, OperationSpec
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "ReproError",

@@ -8,6 +8,9 @@ knows how to
 
 * ``prepare()`` — fetch and parse the published interface documents of
   every replica it may be routed to (blocking, before the measured window);
+  every client still fetches, but each replica parses a given document only
+  once (:meth:`~repro.cluster.registry.Replica.parsed`) and its clients
+  share the immutable result;
 * ``call(replica, operation, arguments)`` — issue one asynchronous call and
   return the transport :class:`~repro.net.transport.Deferred`;
 * ``classify(value, error)`` — map the reply to one of the outcome
@@ -118,6 +121,12 @@ class ProtocolClient:
         """
 
 
+def _bind_wsdl(document: str):
+    """Parse a WSDL document into ``(description, type registry)``."""
+    description = parse_wsdl(document)
+    return description, description.type_registry()
+
+
 class SoapProtocolClient(ProtocolClient):
     """SOAP-over-HTTP client stack (WSDL description + envelope codec)."""
 
@@ -127,10 +136,13 @@ class SoapProtocolClient(ProtocolClient):
         self._registries: dict[int, Any] = {}
 
     def prepare_replica(self, replica: "Replica") -> None:
-        document = self.fetch(replica.publisher.document_url)
-        description = parse_wsdl(document)
+        self._bind(replica, self.fetch(replica.publisher.document_url))
+
+    def _bind(self, replica: "Replica", document: str):
+        description, registry = replica.parsed(_bind_wsdl, document)
         self._descriptions[replica.index] = description
-        self._registries[replica.index] = description.type_registry()
+        self._registries[replica.index] = registry
+        return description
 
     def call(self, replica: "Replica", operation: str, arguments: tuple[Any, ...]) -> Deferred:
         description = self._descriptions[replica.index]
@@ -179,10 +191,7 @@ class SoapProtocolClient(ProtocolClient):
                 raise MiddlewareError(
                     f"could not re-retrieve WSDL: HTTP {response.status}"
                 )
-            description = parse_wsdl(response.body)
-            self._descriptions[replica.index] = description
-            self._registries[replica.index] = description.type_registry()
-            return description
+            return self._bind(replica, response.body)
 
         return wire.transform(decode)
 
@@ -209,7 +218,7 @@ class CorbaProtocolClient(ProtocolClient):
 
     def prepare_replica(self, replica: "Replica") -> None:
         document = self.fetch(replica.publisher.document_url)
-        self._descriptions[replica.index] = parse_idl(document)
+        self._descriptions[replica.index] = replica.parsed(parse_idl, document)
         if self.orb is None:
             self.orb = ClientOrb(self.host)
         ior_text = self.fetch(replica.publisher.ior_url)  # type: ignore[attr-defined]
@@ -239,7 +248,7 @@ class CorbaProtocolClient(ProtocolClient):
                 raise MiddlewareError(
                     f"could not re-retrieve IDL: HTTP {response.status}"
                 )
-            description = parse_idl(response.body)
+            description = replica.parsed(parse_idl, response.body)
             self._descriptions[replica.index] = description
             return description
 

@@ -66,7 +66,7 @@ what the cohort-vs-discrete Hypothesis property pins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 from repro.errors import ClusterError, NoAliveReplicaError, ServiceNotFoundError
 from repro.evolve.graph import VersionGraph
@@ -99,6 +99,10 @@ class Replica:
     in_flight: int = 0
     #: Calls ever routed to this replica.
     calls_routed: int = 0
+    #: Parsed published documents: parser -> (document text, parsed value).
+    _parsed: dict[Callable[[str], Any], tuple[str, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def alive(self) -> bool:
@@ -120,6 +124,21 @@ class Replica:
     def call_handler(self):
         """The replica's RMI call handler."""
         return self.managed.call_handler
+
+    def parsed(self, parser: Callable[[str], Any], text: str) -> Any:
+        """``parser(text)``, parsed once for every client of this replica.
+
+        Every client bound to the replica fetches the same published
+        document, so the result is shared; it must never be mutated.  Only
+        the latest document per parser is kept, so memory stays bounded
+        however often the replica republishes.
+        """
+        entry = self._parsed.get(parser)
+        if entry is not None and entry[0] == text:
+            return entry[1]
+        value = parser(text)
+        self._parsed[parser] = (text, value)
+        return value
 
     def __repr__(self) -> str:
         return (

@@ -339,6 +339,8 @@ class Scenario:
             raise ClusterError("a client group needs at least one client")
         if service is not None and protocol_mix is not None:
             raise ClusterError("give a client group either a service or a protocol_mix")
+        require_finite(think_time, "think_time", ClusterError)
+        require_non_negative(think_time, "think_time", ClusterError)
         for name, weight in (protocol_mix or {}).items():
             require_finite(weight, f"protocol_mix weight {name!r}", ClusterError)
             require_non_negative(weight, f"protocol_mix weight {name!r}", ClusterError)
@@ -503,6 +505,7 @@ class ScenarioRuntime:
         self._service_specs: dict[str, _ServiceSpec] = {}
         self._placement_cursor = 0
         self._deploy_services()
+        self._check_arguments()
         self._cde: ClientDevelopmentEnvironment | None = None
         self._published_services: set[str] = set()
         #: The world's fault injector — the ``crash`` / ``restart`` /
@@ -550,6 +553,39 @@ class ScenarioRuntime:
                 self._watch_publications(entry, replica)
             self.registry.register(entry)
             self._service_specs[spec.name] = spec
+
+    def _check_arguments(self) -> None:
+        """Reject client groups whose arguments miss their operation's arity.
+
+        A wrong argument count would otherwise fail every call at the
+        server and be counted as §5.7 staleness; deliberate staleness is
+        declared with ``stale_every``.  Operations the scenario does not
+        declare (added later by a timeline edit) are not checked.
+        """
+        for group in self.scenario._client_groups:
+            if group.service is not None:
+                names = [group.service]
+            else:
+                mix = group.protocol_mix or ((self._default_technology(), 1.0),)
+                names = []
+                for protocol, weight in mix:
+                    if weight > 0:
+                        try:
+                            names.append(self._service_for_protocol(protocol).name)
+                        except ClusterError:
+                            pass  # reported by the plan stage if a client needs it
+            for name in names:
+                spec = self._service_specs.get(name)
+                if spec is None or not spec.operations:
+                    continue  # reported by the plan stage
+                operation = group.operation or spec.operations[0].name
+                arities = {declared.name: len(declared.parameters) for declared in spec.operations}
+                expected = arities.get(operation, len(group.arguments))
+                if expected != len(group.arguments):
+                    raise ClusterError(
+                        f"operation {operation!r} of service {name!r} takes {expected} "
+                        f"argument(s), but clients() passes {len(group.arguments)}"
+                    )
 
     @staticmethod
     def _watch_publications(entry: ServiceEntry, replica: Replica) -> None:
@@ -653,6 +689,9 @@ class ScenarioRuntime:
         once — by the first run; an action cut off by that run's deadline
         never fires (developer actions are not replayed by later runs).
         """
+        if until is not None:
+            require_finite(until, "until", ClusterError)
+            require_non_negative(until, "until", ClusterError)
         self.run_epoch += 1
         if self.scenario._client_groups:
             pending = [

@@ -21,7 +21,8 @@ class InterfaceServer:
         self.host = host
         self.port = port
         self.http_server = HttpServer(host, port, name="sde-interface-server")
-        self._documents: dict[str, tuple[str, str]] = {}
+        #: path -> (content, content type, content as UTF-8 wire bytes).
+        self._documents: dict[str, tuple[str, str, bytes]] = {}
         self._publication_count: dict[str, int] = {}
         self.http_server.add_route("/", self._serve, methods=("GET",), prefix=True)
 
@@ -61,7 +62,8 @@ class InterfaceServer:
         """Publish (or republish) ``content`` at ``path`` and return its URL."""
         if not path.startswith("/"):
             raise PublicationError(f"publication path must start with '/', got {path!r}")
-        self._documents[path] = (content, content_type)
+        # Encoded once here, not on every GET of the document.
+        self._documents[path] = (content, content_type, content.encode("utf-8"))
         self._publication_count[path] = self._publication_count.get(path, 0) + 1
         return self.url_for(path)
 
@@ -94,8 +96,8 @@ class InterfaceServer:
         entry = self._documents.get(path)
         if entry is None:
             return HttpResponse.not_found(f"no published document at {path}")
-        content, content_type = entry
-        return HttpResponse(200, {"Content-Type": content_type}, content)
+        content, content_type, wire = entry
+        return HttpResponse(200, {"Content-Type": content_type}, content, body_wire=wire)
 
     def __repr__(self) -> str:
         return f"InterfaceServer({self.base_url}, documents={len(self._documents)})"

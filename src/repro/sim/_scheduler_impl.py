@@ -53,6 +53,10 @@ from typing import Any, Callable
 from repro.errors import DeadlockError, SchedulerError
 from repro.sim.clock import Clock
 
+#: Upper bound (exclusive) on delays and times: ``not 0.0 <= delay < _INF``
+#: rejects negative, infinite and NaN delays in a single comparison chain.
+_INF = float("inf")
+
 #: Queue size below which the lazy cancel purge is never triggered.
 _PURGE_MIN_QUEUE = 64
 
@@ -69,6 +73,20 @@ def _recycled() -> None:
     free-list corruption that must fail loudly, not silently misdispatch.
     """
     raise SchedulerError("recycled event dispatched: free-list corruption")
+
+
+def _bad_delay(delay: float) -> SchedulerError:
+    """The error for a delay that is negative, infinite or NaN."""
+    if delay < 0:
+        return SchedulerError(f"cannot schedule an event in the past (delay={delay})")
+    return SchedulerError(f"event delay must be finite, got delay={delay}")
+
+
+def _bad_time(time: float, now: float) -> SchedulerError:
+    """The error for an absolute time before ``now``, infinite or NaN."""
+    if time < now:
+        return SchedulerError(f"cannot schedule an event at {time} before current time {now}")
+    return SchedulerError(f"event time must be finite, got time={time}")
 
 
 class Event:
@@ -247,8 +265,8 @@ class Scheduler:
     ) -> Event:
         """Schedule ``callback(*args, **kwargs)`` to run ``delay`` seconds
         from now and return the corresponding :class:`Event`."""
-        if delay < 0:
-            raise SchedulerError(f"cannot schedule an event in the past (delay={delay})")
+        if not 0.0 <= delay < _INF:
+            raise _bad_delay(delay)
         event = Event(
             self.clock.now + delay, callback, args, kwargs or None, label, self
         )
@@ -266,10 +284,8 @@ class Scheduler:
         **kwargs: Any,
     ) -> Event:
         """Schedule ``callback`` to run at absolute virtual time ``time``."""
-        if time < self.clock.now:
-            raise SchedulerError(
-                f"cannot schedule an event at {time} before current time {self.now}"
-            )
+        if not self.clock.now <= time < _INF:
+            raise _bad_time(time, self.now)
         event = Event(time, callback, args, kwargs or None, label, self)
         heapq.heappush(self._queue, (time, next(self._sequence), event))
         self._pending += 1
@@ -301,8 +317,8 @@ class Scheduler:
         supported.  External code that wants a cancellable, indefinitely
         holdable event must use :meth:`schedule`.
         """
-        if delay < 0:
-            raise SchedulerError(f"cannot schedule an event in the past (delay={delay})")
+        if not 0.0 <= delay < _INF:
+            raise _bad_delay(delay)
         time = self.clock.now + delay
         free = self._free
         if free:
@@ -643,8 +659,8 @@ class EventStream:
     ) -> Event:
         """Schedule ``callback`` on this stream ``delay`` seconds from now."""
         scheduler = self.scheduler
-        if delay < 0:
-            raise SchedulerError(f"cannot schedule an event in the past (delay={delay})")
+        if not 0.0 <= delay < _INF:
+            raise _bad_delay(delay)
         event = Event(
             scheduler.clock.now + delay, callback, args, kwargs or None, label, scheduler
         )
@@ -663,10 +679,8 @@ class EventStream:
     ) -> Event:
         """Schedule ``callback`` on this stream at absolute time ``time``."""
         scheduler = self.scheduler
-        if time < scheduler.clock.now:
-            raise SchedulerError(
-                f"cannot schedule an event at {time} before current time {scheduler.now}"
-            )
+        if not scheduler.clock.now <= time < _INF:
+            raise _bad_time(time, scheduler.now)
         event = Event(time, callback, args, kwargs or None, label, scheduler)
         heapq.heappush(self._heap, (time, next(scheduler._sequence), event))
         scheduler._pending += 1

@@ -33,6 +33,26 @@ class XmlElement:
 
     # -- construction -------------------------------------------------------
 
+    @classmethod
+    def _built(
+        cls,
+        name: QName,
+        attributes: dict[QName, str],
+        text: str,
+        children: list["XmlElement"],
+    ) -> "XmlElement":
+        """An element from parts that are already checked (the parser's path).
+
+        The caller owns ``attributes`` and ``children`` and hands them over;
+        nothing is coerced or copied.
+        """
+        element = cls.__new__(cls)
+        element.name = name
+        element.attributes = attributes
+        element.text = text
+        element.children = children
+        return element
+
     @staticmethod
     def _coerce_name(name: QName | str) -> QName:
         if isinstance(name, QName):

@@ -248,6 +248,68 @@ class TestScenarioBasics:
         assert publisher.stats.forced_publications == forced_before
 
 
+class TestSettingsValidation:
+    """Bad settings are rejected up front, never run or counted as staleness."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.01])
+    def test_think_time_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ClusterError, match="think_time"):
+            Scenario().clients(2, think_time=bad)
+
+    @pytest.mark.parametrize("bad", [-1, math.nan, math.inf])
+    def test_until_must_be_finite_and_non_negative(self, bad):
+        from repro.cluster.presets import fault_drill_scenario
+
+        # until=-1 used to leak a raw SchedulerError from the scheduler.
+        with pytest.raises(ClusterError, match="until"):
+            fault_drill_scenario(8).run(until=bad)
+
+    def test_wrong_argument_count_is_rejected_not_counted_stale(self):
+        # Used to report 0 successes and 6 "stale faults" (§5.7).
+        scenario = (
+            Scenario()
+            .service("Echo", [_echo_op()])
+            .clients(2, service="Echo", calls=3, arguments=())
+        )
+        with pytest.raises(ClusterError, match=r"'echo'.*takes 1 argument.*passes 0"):
+            scenario.build()
+
+    def test_wrong_argument_count_is_rejected_for_each_mixed_protocol(self):
+        scenario = (
+            Scenario()
+            .service("EchoSoap", [_echo_op()], technology="soap")
+            .service(
+                "EchoCorba",
+                [op("echo", (("a", STRING), ("b", STRING)), STRING)],
+                technology="corba",
+            )
+            .clients(2, protocol_mix={"soap": 0.5, "corba": 0.5}, arguments=("x",))
+        )
+        with pytest.raises(ClusterError, match="service 'EchoCorba' takes 2"):
+            scenario.run()
+
+    def test_deliberate_staleness_stays_on_stale_every(self):
+        report = (
+            Scenario()
+            .service("Echo", [_echo_op()])
+            .clients(2, service="Echo", calls=3, arguments=("x",), stale_every=3)
+            .run()
+        )
+        assert report.total_successes == 4
+        assert report.total_stale_faults == 2
+
+    def test_operation_added_later_is_not_checked(self):
+        # The operation is not declared yet (a timeline edit adds it), so
+        # its arity is unknown when the scenario is built.
+        runtime = (
+            Scenario()
+            .service("Echo", [_echo_op()])
+            .clients(1, service="Echo", operation="later", arguments=(1, 2, 3))
+            .build()
+        )
+        assert runtime.replicas("Echo")
+
+
 class TestRoundRobinRouting:
     def test_deterministic_round_robin_assignment(self):
         """Consecutive calls rotate through the replicas in a fixed order,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.sde.interface_server import InterfaceServer
 from repro.errors import PublicationError
-from repro.net.http import HttpClient
+from repro.net.http import HttpClient, HttpRequest
 
 
 @pytest.fixture
@@ -32,6 +32,17 @@ class TestPublication:
         interface_server.publish("/doc", "v2", "text/plain")
         assert client.get(interface_server.url_for("/doc")).body == "v2"
         assert interface_server.publication_count("/doc") == 2
+
+    def test_document_is_encoded_once_at_publish(self, interface_server, client):
+        content = "<definitions name='Café'>€</definitions>"
+        interface_server.publish("/doc", content)
+        first = interface_server._serve(HttpRequest("GET", "/doc"))
+        second = interface_server._serve(HttpRequest("GET", "/doc?fresh"))
+        assert first.body_wire == content.encode("utf-8")
+        assert second.body_wire is first.body_wire
+        assert client.get(interface_server.url_for("/doc")).body == content
+        interface_server.publish("/doc", "v2")
+        assert interface_server._serve(HttpRequest("GET", "/doc")).body_wire == b"v2"
 
     def test_unknown_path_is_404(self, interface_server, client):
         assert client.get(interface_server.url_for("/nothing")).status == 404

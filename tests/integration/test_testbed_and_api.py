@@ -1,5 +1,8 @@
 """Tests for the public package surface and the convenience testbed."""
 
+import tomllib
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -18,7 +21,15 @@ from repro.errors import (
 
 class TestPublicApi:
     def test_version_exported(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"
+
+    def test_pyproject_reads_the_package_version(self):
+        pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        assert config["project"]["dynamic"] == ["version"]
+        assert "version" not in config["project"]
+        dynamic = config["tool"]["setuptools"]["dynamic"]
+        assert dynamic["version"] == {"attr": "repro.__version__"}
 
     def test_quickstart_from_readme(self):
         testbed = LiveDevelopmentTestbed()

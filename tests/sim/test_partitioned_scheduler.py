@@ -152,6 +152,17 @@ class TestEventStreamSemantics:
         with pytest.raises(SchedulerError):
             stream.schedule_at(0.5, lambda: None)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_stream_schedule_rejects_non_finite(self, value):
+        scheduler = Scheduler()
+        stream = scheduler.partition("p")
+        with pytest.raises(SchedulerError, match=f"delay={value}"):
+            stream.schedule(value, lambda: None)
+        with pytest.raises(SchedulerError, match=f"time={value}"):
+            stream.schedule_at(value, lambda: None)
+        assert len(stream) == 0
+        assert scheduler.pending_count == 0
+
     def test_call_soon_on_stream(self):
         scheduler = Scheduler()
         order = []

@@ -32,6 +32,23 @@ class TestScheduling:
         with pytest.raises(SchedulerError):
             scheduler.schedule(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("method", ["schedule", "schedule_pooled"])
+    def test_non_finite_delay_rejected(self, scheduler: Scheduler, method, delay):
+        with pytest.raises(SchedulerError, match=f"delay={delay}"):
+            getattr(scheduler, method)(delay, lambda: None)
+        # Nothing was queued and the clock is untouched.
+        assert scheduler.pending_count == 0
+        scheduler.schedule(0.1, lambda: None)
+        scheduler.run_until_idle()
+        assert scheduler.now == 0.1
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, scheduler: Scheduler, time):
+        with pytest.raises(SchedulerError, match=f"time={time}"):
+            scheduler.schedule_at(time, lambda: None)
+        assert scheduler.pending_count == 0
+
     def test_schedule_at_past_rejected(self, scheduler: Scheduler):
         scheduler.schedule(1.0, lambda: None)
         scheduler.run_until_idle()
