@@ -60,8 +60,8 @@ events), which keeps the CI run to a fraction of the full sweep.
 
 ``REPRO_BENCH_WARNINGS`` (space-separated ``-W``-style filter specs) is
 forwarded to the pytest subprocess; CI uses it to turn DeprecationWarnings
-into errors while allowing only the repro-internal deprecation shims
-(``repro.testbed`` / ``repro.workload``) to keep warning.
+into errors while allowing only the repro-internal deprecation shim
+(``repro.testbed``) to keep warning.
 """
 
 from __future__ import annotations
@@ -75,8 +75,14 @@ import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC = str(REPO_ROOT / "src")
 BENCH_DIR = REPO_ROOT / "benchmarks"
 RESULTS_PATH = REPO_ROOT / "BENCH_results.json"
+
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
+
+from repro.obs.analyze import dominant_component  # noqa: E402 - needs SRC on sys.path
 
 #: A benchmark this much slower than the previous comparable run is flagged.
 REGRESSION_FACTOR = 1.5
@@ -113,8 +119,7 @@ def run_benchmarks(files: list[Path], quick: bool = False) -> tuple[int, list[di
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
         json_path = Path(handle.name)
     env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = src + (
+    env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     if quick:
@@ -163,37 +168,6 @@ def load_trajectory() -> dict:
         trajectory = {"runs": []}
     trajectory.setdefault("runs", [])
     return trajectory
-
-
-#: Latency components an ``obs_profile`` blob may carry (mean simulated
-#: seconds per call), in the analyzer's canonical order.
-PROFILE_COMPONENTS = ("network", "stall", "core_wait", "cpu", "backoff", "rebind")
-
-
-def dominant_component(before: "dict | None", now: "dict | None") -> "tuple[str, float, float] | None":
-    """The latency component whose mean grew most between two profiles.
-
-    ``before``/``now`` are ``obs_profile`` blobs from ``extra_info``
-    (component name -> mean simulated seconds, as produced by
-    ``LatencyProfile.component_means()``).  Returns ``(component,
-    before_mean_s, now_mean_s)`` or None when either blob is missing or no
-    component regressed.  Mirrors ``repro.obs.analyze.dominant_component``
-    — duplicated here because this runner must work without ``src`` on the
-    path; keep the two in sync.
-    """
-    if not isinstance(before, dict) or not isinstance(now, dict):
-        return None
-    deltas = {}
-    for name in PROFILE_COMPONENTS:
-        a, b = before.get(name), now.get(name)
-        if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-            deltas[name] = b - a
-    if not deltas:
-        return None
-    worst = max(sorted(deltas), key=lambda name: deltas[name])
-    if deltas[worst] <= 0:
-        return None
-    return worst, float(before[worst]), float(now[worst])
 
 
 def deterministic_metrics(bench: dict) -> dict[str, float]:

@@ -41,9 +41,8 @@ and the ``upgrade`` helper are re-exported, and every
 per-service version graph and version-aware routing switches (see
 ARCHITECTURE.md "Interface evolution").
 
-The legacy two-host :class:`repro.testbed.LiveDevelopmentTestbed` and the
-single-service :mod:`repro.workload` driver are thin adapters over this
-package.
+The legacy two-host :class:`repro.testbed.LiveDevelopmentTestbed` is a thin
+adapter over this package.
 """
 
 from repro.cluster.cohort import CohortFlow, CohortModel

@@ -90,9 +90,9 @@ class LatencyHistogram:
     def percentile(self, level: float) -> float:
         """The ``level``-th percentile, exact to within half a bin width.
 
-        Uses the same nearest-rank convention as the exact path's
-        ``rank = (count - 1) * level / 100`` and answers with the owning
-        bin's midpoint, clamped to the observed ``[min, max]`` range so the
+        Uses the same ``rank = (count - 1) * level / 100`` as the exact
+        path's linear interpolation and answers with the owning bin's
+        midpoint, clamped to the observed ``[min, max]`` range so the
         tails never report a value outside what was actually seen.
         """
         if not 0 <= level <= 100:

@@ -6,8 +6,8 @@ retry on every client, a mid-run edit + publish, one crash, one partition
 that later heals, and a restart.  It started life inside
 ``benchmarks/bench_fault_drill.py``; it now lives here so the acceptance
 benchmark, the headline ``events_per_second`` benchmark, and the
-compiled-vs-pure backend equivalence test all drive the byte-identical
-scenario definition.
+cross-process determinism test all drive the byte-identical scenario
+definition.
 
 The drill is parameterised (``servers=``, ``clients=``, ``cohort=``, ...)
 so the same definition scales from the quick CI grid up to the

@@ -15,9 +15,7 @@ across every protocol in play:
 
 All counters are *per run*: the fleet driver snapshots the underlying
 lifetime statistics before the measured window and reports deltas, so
-repeated runs against one world do not bleed into each other.  The legacy
-:class:`repro.workload.WorkloadReport` is a single-service projection of
-this report.
+repeated runs against one world do not bleed into each other.
 
 Cohort scenarios (``clients(1_000_000, cohort=...)``) additionally carry
 one :class:`CohortReport` per flow: aggregate counters plus a streaming
@@ -86,9 +84,9 @@ def rtt_percentiles(values: Sequence[float]) -> dict[str, float]:
 class ClientReport:
     """What one fleet client observed.
 
-    The first six fields are the legacy ``repro.workload.ClientResult``
-    layout (kept positionally compatible); the cluster layer adds the
-    client's protocol, target service and per-call replica routing.
+    The first six fields are the client name and its call outcomes; the
+    rest name the client's protocol, target service and per-call replica
+    routing.
     """
 
     name: str
@@ -693,7 +691,7 @@ class ClusterReport:
             self.cohort_fingerprint(),
         )
 
-    # -- server-side aggregates (single-service workload compatibility) -----
+    # -- server-side aggregates across every service -------------------------
 
     @property
     def stalled_calls(self) -> int:

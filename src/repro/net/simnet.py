@@ -1,29 +1,19 @@
-"""Deterministic in-process network simulator (backend selector).
+"""Deterministic in-process network simulator.
 
-The implementation lives in :mod:`repro.net._simnet_impl`; this module
-re-exports it from the compiled core (:mod:`repro._ccore`) when one is built
-and enabled, and from the pure-Python module otherwise — see
-:mod:`repro._backend` for the selection rules (``REPRO_COMPILED=0`` forces
-pure Python).  The public API and behaviour are byte-identical either way;
-import :class:`Network`/:class:`Host`/:class:`Message` from here, never from
-the implementation modules directly.
+The implementation lives in :mod:`repro.net._simnet_impl`; this module is its
+public import path.  Import :class:`Network`/:class:`Host`/:class:`Message`
+from here.
 """
 
-from repro._backend import load_impl as _load_impl
-
-_impl = _load_impl("_simnet_impl")
-
-Address = _impl.Address
-Message = _impl.Message
-PortListener = _impl.PortListener
-LinkFault = _impl.LinkFault
-TrafficStats = _impl.TrafficStats
-Host = _impl.Host
-Network = _impl.Network
-
-#: Tunables/internals re-exported for tests and diagnostics.
-_CallbackListener = _impl._CallbackListener
-_MESSAGE_POOL_LIMIT = _impl._MESSAGE_POOL_LIMIT
+from repro.net._simnet_impl import (
+    Address,
+    Host,
+    LinkFault,
+    Message,
+    Network,
+    PortListener,
+    TrafficStats,
+)
 
 __all__ = [
     "Address",

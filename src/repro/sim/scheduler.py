@@ -1,24 +1,9 @@
-"""Event scheduler driving the whole simulated system (backend selector).
+"""Event scheduler driving the whole simulated system.
 
-The implementation lives in :mod:`repro.sim._scheduler_impl`; this module
-re-exports it from the compiled core (:mod:`repro._ccore`) when one is built
-and enabled, and from the pure-Python module otherwise — see
-:mod:`repro._backend` for the selection rules (``REPRO_COMPILED=0`` forces
-pure Python).  The public API and behaviour are byte-identical either way;
-import :class:`Event`/:class:`Scheduler` from here, never from the
-implementation modules directly.
+The implementation lives in :mod:`repro.sim._scheduler_impl`; this module is
+its public import path.  Import :class:`Event`/:class:`Scheduler` from here.
 """
 
-from repro._backend import load_impl as _load_impl
-
-_impl = _load_impl("_scheduler_impl")
-
-Event = _impl.Event
-EventStream = _impl.EventStream
-Scheduler = _impl.Scheduler
-
-#: Tunables re-exported for tests and diagnostics.
-_PURGE_MIN_QUEUE = _impl._PURGE_MIN_QUEUE
-_EVENT_POOL_LIMIT = _impl._EVENT_POOL_LIMIT
+from repro.sim._scheduler_impl import Event, EventStream, Scheduler
 
 __all__ = ["Event", "EventStream", "Scheduler"]

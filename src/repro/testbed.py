@@ -24,7 +24,7 @@ from repro.cluster.topology import ClusterWorld
 from repro.core.cde import ClientDevelopmentEnvironment, DynamicClientBinding
 from repro.core.sde import SDEConfig
 from repro.jpie import DynamicClass, DynamicInstance
-from repro.net import Host, LatencyModel
+from repro.net import LatencyModel
 from repro.net.latency import CostModel
 
 __all__ = ["LiveDevelopmentTestbed", "OperationSpec", "CLIENT_SPEED_FACTOR"]
@@ -122,24 +122,6 @@ class LiveDevelopmentTestbed:
         """Let pending stability timers expire and publications complete."""
         margin = self.sde.config.publication_timeout + self.sde.config.generation_cost * 2
         self.run_for(margin + 0.001)
-
-    # -- client fleet (multi-client workloads) -------------------------------------
-
-    def add_client_host(self, name: str | None = None) -> "Host":
-        """Attach one more client machine to the network.
-
-        Used by the multi-client workload driver: the seed testbed models the
-        paper's single PowerBook, scale-out experiments attach a fleet.
-        """
-        return self.world.add_client(name)
-
-    def create_client_fleet(self, count: int, prefix: str = "wl-client-") -> tuple["Host", ...]:
-        """Attach ``count`` client machines named ``{prefix}1..{prefix}count``.
-
-        Machines already attached under those names are reused, so repeated
-        workload runs on one testbed share the fleet.
-        """
-        return self.world.client_fleet(count, prefix)
 
     # -- client actions --------------------------------------------------------------
 

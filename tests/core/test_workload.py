@@ -1,54 +1,62 @@
-"""Tests for the multi-client workload driver and the scale-out experiment."""
+"""Tests for the multi-client fleet on one SDE server and the scale-out experiment.
+
+The fleet pins run one echo service on one server machine through the
+declarative :class:`repro.cluster.Scenario` API.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cluster import Scenario, edit, op
+from repro.core.sde import SDEConfig
 from repro.experiments.multi_client import (
     SCENARIO_STALE_STORM,
     format_scaling,
     run_multi_client,
 )
-from repro.rmitypes import STRING, VOID
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
-from repro.workload import WorkloadSpec, run_workload
+from repro.net.latency import era_2004_cost_model
+from repro.rmitypes import STRING
 
 
-def _echo_testbed(technology: str) -> tuple[LiveDevelopmentTestbed, object]:
-    testbed = LiveDevelopmentTestbed()
-    create = (
-        testbed.create_soap_server if technology == "soap" else testbed.create_corba_server
+def _echo_scenario(
+    technology: str,
+    clients: int,
+    calls: int,
+    *,
+    stale_storm: bool = False,
+    config: SDEConfig | None = None,
+    **client_options,
+) -> Scenario:
+    """One server, one echo service, ``clients`` clients of ``calls`` calls.
+
+    ``stale_storm`` edits the service as the fleet starts, so calls to the
+    stale operation stall behind the pending publication (§5.7).
+    """
+    scenario = (
+        Scenario(sde_config=config)
+        .service(
+            "EchoService",
+            [op("echo", (("m", STRING),), STRING, body=lambda _self, m: m)],
+            technology=technology,
+        )
+        .clients(
+            clients,
+            service="EchoService",
+            calls=calls,
+            arguments=("ping",),
+            **client_options,
+        )
     )
-    dynamic_class, _ = create(
-        "EchoService",
-        [OperationSpec("echo", (("m", STRING),), STRING, body=lambda _self, m: m)],
-    )
-    testbed.publish_now("EchoService")
-    return testbed, dynamic_class
-
-
-class TestClientFleet:
-    def test_create_client_fleet_names_and_count(self):
-        testbed, _ = _echo_testbed("soap")
-        fleet = testbed.create_client_fleet(3)
-        assert [host.name for host in fleet] == ["wl-client-1", "wl-client-2", "wl-client-3"]
-        assert all(host.network is testbed.network for host in fleet)
-
-    def test_add_client_host_auto_names(self):
-        testbed, _ = _echo_testbed("soap")
-        host = testbed.add_client_host()
-        assert host.name.startswith("client-")
+    if stale_storm:
+        scenario.at(0.0, edit("EchoService", op("added_later")))
+    return scenario
 
 
 class TestWorkloadSteadyState:
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_all_calls_succeed(self, technology):
-        testbed, _ = _echo_testbed(technology)
-        report = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology=technology, clients=6, calls_per_client=4),
-        )
+        report = _echo_scenario(technology, clients=6, calls=4).run()
         assert report.total_calls == 24
         assert report.total_successes == 24
         assert report.total_stale_faults == 0
@@ -58,22 +66,12 @@ class TestWorkloadSteadyState:
 
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_one_keepalive_connection_per_client(self, technology):
-        testbed, _ = _echo_testbed(technology)
-        report = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology=technology, clients=5, calls_per_client=3),
-        )
+        report = _echo_scenario(technology, clients=5, calls=3).run()
         assert report.server_connections == 5
         assert report.server_replies_sent == 15
 
     def test_per_client_results_recorded(self):
-        testbed, _ = _echo_testbed("soap")
-        report = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology="soap", clients=3, calls_per_client=2),
-        )
+        report = _echo_scenario("soap", clients=3, calls=2).run()
         assert len(report.clients) == 3
         for client in report.clients:
             assert client.calls == 2
@@ -82,20 +80,8 @@ class TestWorkloadSteadyState:
             assert client.max_rtt >= client.mean_rtt
 
     def test_think_time_stretches_duration(self):
-        testbed_fast, _ = _echo_testbed("soap")
-        fast = run_workload(
-            testbed_fast,
-            "EchoService",
-            WorkloadSpec(technology="soap", clients=2, calls_per_client=3),
-        )
-        testbed_slow, _ = _echo_testbed("soap")
-        slow = run_workload(
-            testbed_slow,
-            "EchoService",
-            WorkloadSpec(
-                technology="soap", clients=2, calls_per_client=3, think_time=1.0
-            ),
-        )
+        fast = _echo_scenario("soap", clients=2, calls=3).run()
+        slow = _echo_scenario("soap", clients=2, calls=3, think_time=1.0).run()
         assert slow.duration > fast.duration + 1.5
 
 
@@ -103,23 +89,14 @@ class TestWorkloadDeterminism:
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_identical_runs_produce_identical_rtts(self, technology):
         def run_once():
-            testbed, dynamic_class = _echo_testbed(technology)
-            spec = WorkloadSpec(
-                technology=technology,
+            return _echo_scenario(
+                technology,
                 clients=8,
-                calls_per_client=4,
+                calls=4,
+                stale_storm=True,
                 stale_every=4,
                 think_time=0.05,
-                scripted_events=(
-                    (
-                        0.0,
-                        lambda: dynamic_class.add_method(
-                            "added_later", (), VOID, distributed=True
-                        ),
-                    ),
-                ),
-            )
-            return run_workload(testbed, "EchoService", spec)
+            ).run()
 
         first, second = run_once(), run_once()
         assert first.all_rtts == second.all_rtts
@@ -130,23 +107,14 @@ class TestWorkloadDeterminism:
 class TestWorkloadStaleStorm:
     @pytest.mark.parametrize("technology", ["soap", "corba"])
     def test_stall_queue_forms_and_drains(self, technology):
-        testbed, dynamic_class = _echo_testbed(technology)
-        spec = WorkloadSpec(
-            technology=technology,
+        report = _echo_scenario(
+            technology,
             clients=8,
-            calls_per_client=6,
+            calls=6,
+            stale_storm=True,
             stale_every=3,
             think_time=0.05,
-            scripted_events=(
-                (
-                    0.0,
-                    lambda: dynamic_class.add_method(
-                        "added_later", (), VOID, distributed=True
-                    ),
-                ),
-            ),
-        )
-        report = run_workload(testbed, "EchoService", spec)
+        ).run()
         # Every third of six calls per client is stale.
         assert report.total_stale_faults == 8 * 2
         assert report.stalled_calls > 0
@@ -158,42 +126,23 @@ class TestWorkloadStaleStorm:
 
 class TestWorkloadReruns:
     def test_max_stall_queue_depth_is_per_run(self):
-        """A later run on the same testbed must not inherit an earlier
-        run's stall-queue high-water mark."""
-        testbed, dynamic_class = _echo_testbed("soap")
-        storm = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(
-                technology="soap",
-                clients=6,
-                calls_per_client=6,
-                stale_every=3,
-                think_time=0.05,
-                scripted_events=(
-                    (
-                        0.0,
-                        lambda: dynamic_class.add_method(
-                            "added_later", (), VOID, distributed=True
-                        ),
-                    ),
-                ),
-            ),
-        )
+        """A later run on the same runtime must not inherit an earlier
+        run's stall-queue high-water mark.  The storm's edit is on the
+        timeline, which only the first run arms."""
+        runtime = _echo_scenario(
+            "soap", clients=6, calls=6, stale_storm=True, stale_every=3, think_time=0.05
+        ).build()
+        storm = runtime.run()
         assert storm.max_stall_queue_depth > 0
-        testbed.settle()
+        runtime.settle()
 
-        steady = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology="soap", clients=6, calls_per_client=3),
-        )
+        steady = runtime.run()
         assert steady.max_stall_queue_depth == 0
         # The lifetime maximum on the handler stats survives for observers.
-        handler = testbed.sde.managed_server("EchoService").call_handler
+        handler = runtime.replicas("EchoService")[0].call_handler
         assert handler.stats.max_stall_queue_depth == storm.max_stall_queue_depth
         # Endpoint accounting is per run too, not lifetime.
-        assert steady.server_replies_sent == 6 * 3
+        assert steady.server_replies_sent == 6 * 6
         assert steady.server_connections == 6
 
 
@@ -223,52 +172,29 @@ class TestScalingExperiment:
         assert "steady" in table
 
 
-class TestWorkloadValidation:
-    def test_unknown_technology_rejected(self):
-        testbed, _ = _echo_testbed("soap")
-        with pytest.raises(ValueError):
-            run_workload(testbed, "EchoService", WorkloadSpec(technology="grpc"))
-
-    def test_mismatched_fleet_rejected(self):
-        from repro.workload import MultiClientWorkload
-
-        testbed, _ = _echo_testbed("soap")
-        hosts = testbed.create_client_fleet(2)
-        with pytest.raises(ValueError):
-            MultiClientWorkload(
-                testbed,
-                "EchoService",
-                WorkloadSpec(technology="soap", clients=3),
-                client_hosts=hosts,
-            )
-
-
 class TestCoreWaitAccounting:
     def test_server_max_core_wait_is_per_run(self):
         """The longest single core wait is a per-run figure (as documented):
         a light run after a heavy one must not inherit its high water,
-        while the core keeps the lifetime maximum for observers."""
-        from repro.net.latency import era_2004_cost_model
-
-        testbed = LiveDevelopmentTestbed(
-            cost_model=era_2004_cost_model(), server_cores=1
-        )
-        testbed.create_soap_server(
-            "EchoService",
-            [OperationSpec("echo", (("m", STRING),), STRING, body=lambda _s, m: m)],
-        )
-        testbed.publish_now("EchoService")
-        heavy = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology="soap", clients=16, calls_per_client=3),
-        )
-        light = run_workload(
-            testbed,
-            "EchoService",
-            WorkloadSpec(technology="soap", clients=1, calls_per_client=1),
-        )
-        assert heavy.server_max_core_wait > 0
-        assert light.server_max_core_wait < heavy.server_max_core_wait
+        while the core keeps the lifetime maximum for observers.  In the
+        storm a call queued behind the §5.7 stall reaches the one core late
+        and collides with the next client; the rerun queues nothing."""
+        runtime = _echo_scenario(
+            "soap",
+            clients=8,
+            calls=3,
+            stale_storm=True,
+            stale_every=3,
+            think_time=0.05,
+            arrival=0.5,
+            config=SDEConfig(cost_model=era_2004_cost_model(), server_cores=1),
+        ).build()
+        heavy = runtime.run()
+        runtime.settle()
+        light = runtime.run()
+        heavy_wait = heavy.nodes[0].max_core_wait
+        assert heavy.max_stall_queue_depth > 0
+        assert light.max_stall_queue_depth == 0
+        assert light.nodes[0].max_core_wait < heavy_wait
         # The core itself keeps the lifetime high-water mark.
-        assert testbed.sde.server_core.max_queue_delay == heavy.server_max_core_wait
+        assert runtime.nodes[0].server_core.max_queue_delay == heavy_wait

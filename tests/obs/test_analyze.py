@@ -28,9 +28,11 @@ from repro.evolve import rolling, upgrade
 from repro.faults import RetryPolicy, crash, heal, partition, restart
 from repro.net.latency import CostModel
 from repro.obs import ObsConfig, Observability
+from repro.cluster.report import percentile
 from repro.obs.analyze import (
     ALL_COMPONENTS,
     RTT_COMPONENTS,
+    _stats,
     attribute_calls,
     bench_profile_diff,
     build_profile,
@@ -366,6 +368,33 @@ class TestAttributionProperty:
             )
             for name in ("stall", "core_wait", "cpu", "backoff"):
                 assert attribution.components[name] >= 0
+
+
+class TestComponentPercentiles:
+    """Profile percentiles use the report's linear-interpolation helper."""
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            [],
+            [7],
+            [1, 2, 3, 4],
+            [5, 1, 4, 1, 5, 9, 2, 6, 5, 3],
+            [13283938, 25000000, 10185492],
+        ],
+    )
+    def test_stats_percentiles_equal_the_report_helper(self, sample):
+        stats = _stats(sample)
+        for level in (50, 95, 99):
+            assert stats[f"p{level}_s"] == percentile(sample, level) / 1e9
+
+    def test_stats_percentiles_are_pinned(self):
+        stats = _stats([13283938, 25000000, 10185492])
+        assert (stats["p50_s"], stats["p95_s"], stats["p99_s"]) == (
+            0.013283938,
+            0.023828393799999997,
+            0.024765678760000003,
+        )
 
 
 class TestDiffAndDominant:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.scheduler import _EVENT_POOL_LIMIT, _PURGE_MIN_QUEUE, Scheduler
+from repro.sim._scheduler_impl import _EVENT_POOL_LIMIT, _PURGE_MIN_QUEUE
+from repro.sim.scheduler import Scheduler
 
 
 class TestEventPooling:

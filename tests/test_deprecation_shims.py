@@ -1,25 +1,16 @@
-"""The legacy shims warn exactly once and stay byte-identical to Scenario.
+"""The legacy testbed shim warns exactly once, at the point of use.
 
-``repro.testbed`` and ``repro.workload`` are deprecation shims over the
-cluster layer: each emits exactly one :class:`DeprecationWarning` at the
-point of use (importing them — which ``import repro`` does — must stay
-silent), and the worlds they build behave byte-identically to the
-equivalent declarative :class:`repro.cluster.Scenario`.
+``repro.testbed`` is a deprecation shim over the cluster layer: it emits
+exactly one :class:`DeprecationWarning` when a testbed is built, while
+importing it — which ``import repro`` does — stays silent.
 """
 
 from __future__ import annotations
 
 import warnings
 
-from repro.cluster import Scenario, op
 from repro.core.sde import SDEConfig
-from repro.rmitypes import STRING
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
-from repro.workload import MultiClientWorkload, WorkloadSpec
-
-
-def _echo_spec() -> OperationSpec:
-    return OperationSpec("echo", (("message", STRING),), STRING, body=lambda self, m: m)
+from repro.testbed import LiveDevelopmentTestbed
 
 
 def _config() -> SDEConfig:
@@ -33,10 +24,8 @@ class TestDeprecationWarnings:
             import importlib
 
             import repro.testbed
-            import repro.workload
 
             importlib.reload(repro.testbed)
-            importlib.reload(repro.workload)
         assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
 
     def test_testbed_emits_exactly_one_deprecation_warning(self):
@@ -46,79 +35,3 @@ class TestDeprecationWarnings:
         deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
         assert len(deprecations) == 1
         assert "repro.cluster.Scenario" in str(deprecations[0].message)
-
-    def test_workload_emits_exactly_one_deprecation_warning(self):
-        testbed = LiveDevelopmentTestbed(sde_config=_config())
-        testbed.create_soap_server("Echo", [_echo_spec()])
-        testbed.publish_now("Echo")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            workload = MultiClientWorkload(
-                testbed,
-                "Echo",
-                WorkloadSpec(clients=2, calls_per_client=2, arguments=("hi",)),
-            )
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-        assert "repro.cluster.Scenario" in str(deprecations[0].message)
-        report = workload.run()
-        assert report.total_successes == 4
-
-
-class TestByteIdenticalToScenario:
-    """The shim path and the Scenario path must produce identical numbers."""
-
-    def _workload_report(self, technology: str):
-        testbed = LiveDevelopmentTestbed(sde_config=_config())
-        if technology == "soap":
-            testbed.create_soap_server("Echo", [_echo_spec()])
-        else:
-            testbed.create_corba_server("Echo", [_echo_spec()])
-        testbed.publish_now("Echo")
-        spec = WorkloadSpec(
-            technology=technology,
-            clients=4,
-            calls_per_client=5,
-            operation="echo",
-            arguments=("ping",),
-            think_time=0.01,
-        )
-        return MultiClientWorkload(testbed, "Echo", spec).run()
-
-    def _scenario_report(self, technology: str):
-        echo = op("echo", (("message", STRING),), STRING, body=lambda self, m: m)
-        runtime = (
-            Scenario(name="shim-equivalent", sde_config=_config())
-            .servers(1)
-            .service("Echo", [echo], technology=technology)
-            .clients(
-                4,
-                service="Echo",
-                calls=5,
-                operation="echo",
-                arguments=("ping",),
-                think_time=0.01,
-            )
-            .build()
-        )
-        # Match the testbed preamble exactly: the legacy flow attaches a CDE
-        # client machine ("client") before publishing, and the workload fleet
-        # machines are named wl-client-N.
-        runtime.world.add_client("client")
-        runtime.world.client_fleet(4, prefix="wl-client-")
-        runtime.publish("Echo")
-        return runtime.run()
-
-    def test_soap_workload_rtts_byte_identical(self):
-        shim = self._workload_report("soap")
-        scenario = self._scenario_report("soap")
-        assert shim.all_rtts == scenario.all_rtts
-        assert shim.total_successes == scenario.total_successes
-        assert shim.duration == scenario.duration
-
-    def test_corba_workload_rtts_byte_identical(self):
-        shim = self._workload_report("corba")
-        scenario = self._scenario_report("corba")
-        assert shim.all_rtts == scenario.all_rtts
-        assert shim.total_successes == scenario.total_successes
-        assert shim.duration == scenario.duration
