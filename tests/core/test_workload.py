@@ -10,6 +10,7 @@ import pytest
 
 from repro.cluster import Scenario, edit, op
 from repro.core.sde import SDEConfig
+from repro.errors import ClusterError, ServiceNotFoundError, TechnologyError
 from repro.experiments.multi_client import (
     SCENARIO_STALE_STORM,
     format_scaling,
@@ -51,6 +52,40 @@ def _echo_scenario(
     if stale_storm:
         scenario.at(0.0, edit("EchoService", op("added_later")))
     return scenario
+
+
+class TestClientFleet:
+    def test_create_client_fleet_names_and_count(self):
+        world = _echo_scenario("soap", clients=1, calls=1).build().world
+        fleet = world.client_fleet(3)
+        assert [host.name for host in fleet] == ["wl-client-1", "wl-client-2", "wl-client-3"]
+        assert all(host.network is world.network for host in fleet)
+        # A second fleet under the same names reuses the attached machines.
+        assert world.client_fleet(3) == fleet
+        assert world.client_hosts.count(fleet[0]) == 1
+
+    def test_add_client_host_auto_names(self):
+        world = _echo_scenario("soap", clients=1, calls=1).build().world
+        host = world.add_client()
+        assert host.name.startswith("client-")
+        assert host in world.client_hosts
+
+    @pytest.mark.parametrize("technology", ["soap", "corba"])
+    def test_run_reuses_an_attached_fleet(self, technology):
+        """A fleet attached before the run is the one the run drives, so
+        the run is identical to one on a fresh runtime and reruns attach
+        no further machines."""
+        fresh = _echo_scenario(technology, clients=4, calls=5, think_time=0.01).run()
+        runtime = _echo_scenario(technology, clients=4, calls=5, think_time=0.01).build()
+        hosts = runtime.world.client_fleet(4, prefix="fleet-client-")
+        prebuilt = runtime.run()
+        assert prebuilt.all_rtts == fresh.all_rtts
+        assert prebuilt.duration == fresh.duration
+        assert prebuilt.total_successes == 20
+        runtime.settle()
+        runtime.run()
+        assert runtime.world.client_fleet(4, prefix="fleet-client-") == hosts
+        assert len(runtime.world.client_hosts) == 4
 
 
 class TestWorkloadSteadyState:
@@ -170,6 +205,30 @@ class TestScalingExperiment:
         table = format_scaling(results)
         assert "soap" in table
         assert "steady" in table
+
+
+class TestWorkloadValidation:
+    def test_unknown_technology_rejected(self):
+        with pytest.raises(TechnologyError):
+            Scenario().service(
+                "EchoService",
+                [op("echo", (("m", STRING),), STRING, body=lambda _self, m: m)],
+                technology="grpc",
+            ).build()
+        scenario = _echo_scenario("soap", clients=1, calls=1)
+        scenario.clients(2, protocol_mix={"grpc": 1.0}, calls=1, arguments=("ping",))
+        with pytest.raises(ClusterError, match="grpc"):
+            scenario.run()
+
+    def test_mismatched_fleet_rejected(self):
+        """A client group aimed at a service the scenario does not declare."""
+        scenario = Scenario().service(
+            "EchoService",
+            [op("echo", (("m", STRING),), STRING, body=lambda _self, m: m)],
+        )
+        scenario.clients(3, service="OtherService", calls=1, arguments=("ping",))
+        with pytest.raises(ServiceNotFoundError, match="OtherService"):
+            scenario.run()
 
 
 class TestCoreWaitAccounting:
