@@ -60,8 +60,7 @@ events), which keeps the CI run to a fraction of the full sweep.
 
 ``REPRO_BENCH_WARNINGS`` (space-separated ``-W``-style filter specs) is
 forwarded to the pytest subprocess; CI uses it to turn DeprecationWarnings
-into errors while allowing only the repro-internal deprecation shim
-(``repro.testbed``) to keep warning.
+into errors.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 The ROADMAP's scaling question — what happens when a replicated, mixed
 SOAP/CORBA service fleet serves hundreds of concurrent clients while a
 developer edits the running servers — used to take a page of hand-wired
-testbed setup.  With the Scenario API it is one ≤ 20-line expression:
+host, SDE and client setup.  With the Scenario API it is one ≤ 20-line
+expression:
 
 * 4 server machines, each its own SDE;
 * two echo services (one per middleware), 2 replicas each, round-robin

@@ -14,11 +14,11 @@ application on the CORBA subsystem:
 Run with:  python examples/corba_mail_service.py
 """
 
+from repro import Scenario
 from repro.corba import CorbaServiceDefinition, StaticCorbaClient, StaticCorbaServer
 from repro.interface import Parameter
 from repro.jpie import export_operation_table
 from repro.rmitypes import BOOLEAN, FieldDef, INT, STRING, ArrayType, StructType
-from repro.testbed import LiveDevelopmentTestbed
 
 
 MESSAGE = StructType(
@@ -33,12 +33,9 @@ MESSAGE = StructType(
 
 
 def main() -> None:
-    testbed = LiveDevelopmentTestbed()
-    environment = testbed.environment
-    sde = testbed.sde
-
     # -- build the mail service incrementally, starting from an empty class ---
-    mail = environment.create_class("MailService", superclass=sde.corba_server_class)
+    runtime = Scenario().service("MailService", technology="corba").build()
+    mail = runtime.dynamic_class("MailService")
     mail.declare_struct(MESSAGE)
     mail.add_field("sent", INT, 0)
 
@@ -57,17 +54,17 @@ def main() -> None:
         "inbox_subjects", (Parameter("user", STRING),), ArrayType(STRING),
         body=inbox_subjects, distributed=True,
     )
-    mail.new_instance()
-    testbed.settle()
+    runtime.settle()
 
-    publisher = sde.managed_server("MailService").publisher
+    replica = runtime.replicas("MailService")[0]
+    publisher = replica.publisher
     print("published CORBA-IDL at", publisher.document_url)
     print("published IOR at     ", publisher.ior_url)
     print()
-    print(testbed.manager_interface.view_interface_document("MailService"))
+    print(replica.node.manager_interface.view_interface_document("MailService"))
 
     # -- a CDE client connects via the published IDL + IOR --------------------
-    client = testbed.connect_corba_client("MailService")
+    client = runtime.connect("MailService")
     client.invoke("send", {"sender": "kjg", "recipient": "sajeeva",
                            "subject": "SDE draft", "body": "please review"})
     client.invoke("send", {"sender": "bem", "recipient": "sajeeva",
@@ -80,20 +77,20 @@ def main() -> None:
         body=lambda self, user: sum(len(m["body"].split()) for m in state.get(user, [])),
         distributed=True,
     )
-    testbed.settle()
+    runtime.settle()
     client.refresh()
     print("words addressed to sajeeva:", client.invoke("count_words", "sajeeva"))
 
     # -- end of development: export to a static CORBA server (§7) -------------
-    instance = sde.managed_server("MailService").instance
+    instance = replica.managed.instance
     definition = CorbaServiceDefinition("MailServiceRelease", "urn:mail:release")
     definition.structs.append(MESSAGE)
     for signature, implementation in export_operation_table(mail, instance):
         definition.add_operation(signature, implementation)
-    static_server = StaticCorbaServer(testbed.server_host, 9500, definition)
+    static_server = StaticCorbaServer(replica.node.host, 9500, definition)
     static_server.start()
 
-    static_client = StaticCorbaClient(testbed.client_host)
+    static_client = StaticCorbaClient(runtime.cde.host)
     stub = static_client.connect(static_server.idl_document, static_server.ior)
     print("static export inbox:", stub.inbox_subjects("sajeeva"))
     print("static export word count:", stub.count_words("sajeeva"))

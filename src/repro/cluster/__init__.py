@@ -41,8 +41,9 @@ and the ``upgrade`` helper are re-exported, and every
 per-service version graph and version-aware routing switches (see
 ARCHITECTURE.md "Interface evolution").
 
-The legacy two-host :class:`repro.testbed.LiveDevelopmentTestbed` is a thin
-adapter over this package.
+The paper's own two-host experiments (Table 1, Figures 7 and 8, the §5.6
+and §5.7 ablations) are one-server scenarios built with
+:meth:`Scenario.build`.
 """
 
 from repro.cluster.cohort import CohortFlow, CohortModel

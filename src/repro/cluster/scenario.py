@@ -240,6 +240,8 @@ class Scenario:
         """
         if count < 1:
             raise ClusterError("a scenario needs at least one server")
+        if cores is not None and not cores >= 1:
+            raise ClusterError(f"cores must be at least 1 (or None for unbounded), got {cores!r}")
         self._server_count = count
         self._server_cores = cores
         if technology is not None:
@@ -337,6 +339,8 @@ class Scenario:
         """
         if count < 1:
             raise ClusterError("a client group needs at least one client")
+        if calls < 1:
+            raise ClusterError(f"calls must be at least 1, got {calls!r}")
         if service is not None and protocol_mix is not None:
             raise ClusterError("give a client group either a service or a protocol_mix")
         require_finite(think_time, "think_time", ClusterError)
@@ -390,6 +394,8 @@ class Scenario:
         :func:`churn` helpers (called with the runtime) or any zero-argument
         callable.
         """
+        require_finite(time, "at() time", ClusterError)
+        require_non_negative(time, "at() time", ClusterError)
         self._timeline.append((time, action))
         return self
 
@@ -771,9 +777,7 @@ class ScenarioRuntime:
             else min(group.count, group.cohort.representatives)
             for group in self.scenario._client_groups
         ]
-        # A prefix distinct from add_client's auto-names ("client-{n}"), so
-        # an ad-hoc machine can never alias a fleet client's host.
-        hosts = self.world.client_fleet(sum(discrete_counts), prefix="fleet-client-")
+        hosts = self.world.client_fleet(sum(discrete_counts))
         index = 0
         for group, discrete_count in zip(self.scenario._client_groups, discrete_counts):
             # One resolution covers the FULL group (scalar spacing, callable,

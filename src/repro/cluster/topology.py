@@ -1,12 +1,11 @@
 """Generalised world building: N server machines, M client machines.
 
-The seed testbed hard-codes the paper's two-host shape (one client
-PowerBook, one SDE server desktop).  :class:`ClusterWorld` generalises host
-creation: any number of server machines — each carrying its own JPie
-environment and SDE Manager — plus any number of client machines, all on
-one shared scheduler and simulated network.  The legacy
-:class:`repro.testbed.LiveDevelopmentTestbed` is now a thin adapter that
-builds a one-server world.
+The paper's evaluation uses two hosts (one client PowerBook, one SDE
+server desktop).  :class:`ClusterWorld` generalises host creation: any
+number of server machines — each carrying its own JPie environment and SDE
+Manager — plus any number of client machines, all on one shared scheduler
+and simulated network.  :class:`repro.cluster.ScenarioRuntime` builds one;
+the paper's two-host shape is a one-server world plus one client machine.
 """
 
 from __future__ import annotations
@@ -80,15 +79,17 @@ class ClusterWorld:
         self.client_hosts.append(host)
         return host
 
-    def client_fleet(self, count: int, prefix: str = "wl-client-") -> tuple[Host, ...]:
-        """Attach ``count`` client machines named ``{prefix}1..{prefix}count``.
+    def client_fleet(self, count: int) -> tuple[Host, ...]:
+        """Attach ``count`` client machines named ``fleet-client-1..count``.
 
         Machines already attached under those names are reused, so repeated
-        fleet runs on one world share their hosts.
+        fleet runs on one world share their hosts.  The prefix differs from
+        :meth:`add_client`'s auto-names (``client-{n}``), so an ad-hoc
+        machine can never alias a fleet client's host.
         """
         hosts = []
         for index in range(count):
-            name = f"{prefix}{index + 1}"
+            name = f"fleet-client-{index + 1}"
             try:
                 hosts.append(self.network.host(name))
             except HostNotFoundError:

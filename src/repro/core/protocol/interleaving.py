@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.cluster.scenario import Scenario, op
 from repro.core.sde import SDEConfig
 from repro.errors import NonExistentMethodError
 from repro.interface import InterfaceDescription, OperationSignature, Parameter
 from repro.rmitypes import INT
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
 
 # ---------------------------------------------------------------------------
 # Figure 7 — active publishing
@@ -213,36 +213,36 @@ class ReactivePublishingExperiment:
         publish_delay = FIGURE8_PUBLICATION_TIMINGS[publish_point]
         update_delay = FIGURE8_UPDATE_TIMINGS[update_point]
 
-        testbed = LiveDevelopmentTestbed(
-            sde_config=SDEConfig(
-                publication_timeout=self.publication_timeout,
-                generation_cost=self.generation_cost,
+        runtime = (
+            Scenario(
+                sde_config=SDEConfig(
+                    publication_timeout=self.publication_timeout,
+                    generation_cost=self.generation_cost,
+                )
             )
+            .service(
+                "Calculator",
+                [op("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b)],
+                technology=self.technology,
+            )
+            .build()
         )
-        operations = [
-            OperationSpec("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b)
-        ]
-        if self.technology == "soap":
-            calculator, _instance = testbed.create_soap_server("Calculator", operations)
-            testbed.publish_now("Calculator")
-            binding = testbed.connect_soap_client("Calculator")
-        else:
-            calculator, _instance = testbed.create_corba_server("Calculator", operations)
-            testbed.publish_now("Calculator")
-            binding = testbed.connect_corba_client("Calculator")
+        runtime.publish("Calculator")
+        binding = runtime.connect("Calculator")
+        calculator = runtime.dynamic_class("Calculator")
+        node = runtime.node_of("Calculator")
 
         # The live change: the developer renames add -> sum while the client
         # still believes the interface contains add.
         method = calculator.method("add")
         method.rename("sum")
 
-        scheduler = testbed.scheduler
-        base = scheduler.now
+        scheduler = runtime.world.scheduler
 
         if publish_delay is not None:
             scheduler.schedule(
                 publish_delay + 0.001,
-                lambda: testbed.manager_interface.force_publication("Calculator"),
+                lambda: node.manager_interface.force_publication("Calculator"),
                 label=f"regular publication ({publish_point})",
             )
         if update_delay is not None:
@@ -276,7 +276,7 @@ class ReactivePublishingExperiment:
             server_version_in_fault=server_version,
             client_version_after_call=binding.interface_version,
             change_visible_to_developer=change_visible,
-            publications=testbed.sde.managed_server("Calculator").publisher.stats.publications,
+            publications=runtime.replicas("Calculator")[0].publisher.stats.publications,
         )
 
     def run_matrix(self) -> list[ReactiveRunRecord]:

@@ -12,7 +12,7 @@ SDE CORBA / OpenORB         0.51
 OpenORB / OpenORB           0.42
 ==========================  ==========
 
-This driver rebuilds the same four configurations on the simulated testbed:
+This driver rebuilds the same four configurations in the simulated world:
 a 3.2 GHz-class server host, a slower client host (the 1 GHz PowerBook is
 modelled by a client speed factor), a T1-LAN latency profile and the
 calibrated 2004-era CPU cost model.  The absolute numbers depend on the cost
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cluster.scenario import Scenario, ScenarioRuntime, op
 from repro.core.sde import SDEConfig
 from repro.corba import CorbaServiceDefinition, StaticCorbaClient, StaticCorbaServer
 from repro.interface import OperationSignature, Parameter
@@ -33,7 +34,10 @@ from repro.net.latency import CostModel, era_2004_cost_model
 from repro.rmitypes import STRING
 from repro.sim import Scheduler
 from repro.soap import SoapClient, SoapServiceDefinition, StaticSoapServer
-from repro.testbed import CLIENT_SPEED_FACTOR, LiveDevelopmentTestbed, OperationSpec
+
+#: Relative speed of the paper's client machine (1 GHz PowerBook G4) compared
+#: with its server machine (3.2 GHz Pentium 4).
+CLIENT_SPEED_FACTOR = 2.5
 
 #: The RTTs reported in Table 1 of the paper, in seconds.
 PAPER_TABLE1_RTT: dict[str, float] = {
@@ -70,6 +74,21 @@ def _echo_signature() -> OperationSignature:
 
 def _echo_body(_instance, message: str) -> str:
     return message
+
+
+def _sde_echo_world(technology: str, cost_model: CostModel) -> ScenarioRuntime:
+    """The paper's server desktop running a published SDE ``EchoService``."""
+    runtime = (
+        Scenario(sde_config=SDEConfig(cost_model=cost_model, publication_timeout=2.0))
+        .service(
+            "EchoService",
+            [op("echo", (("message", STRING),), STRING, body=_echo_body)],
+            technology=technology,
+        )
+        .build()
+    )
+    runtime.publish("EchoService")
+    return runtime
 
 
 def _measure(scheduler: Scheduler, call_once, calls: int) -> float:
@@ -117,22 +136,15 @@ def run_static_soap(calls: int = 100, cost_model: CostModel | None = None) -> Rt
 def run_sde_soap(calls: int = 100, cost_model: CostModel | None = None) -> RttResult:
     """SDE SOAP server (live, running within JPie) / static Axis client."""
     cost_model = cost_model or era_2004_cost_model()
-    testbed = LiveDevelopmentTestbed(
-        cost_model=cost_model,
-        sde_config=SDEConfig(cost_model=cost_model, publication_timeout=2.0),
-    )
-    testbed.create_soap_server(
-        "EchoService",
-        [OperationSpec("echo", (("message", STRING),), STRING, body=_echo_body)],
-    )
-    testbed.publish_now("EchoService")
-
-    publisher = testbed.sde.managed_server("EchoService").publisher
+    runtime = _sde_echo_world("soap", cost_model)
+    publisher = runtime.replicas("EchoService")[0].publisher
     client = SoapClient(
-        testbed.client_host, cost_model=cost_model, speed_factor=CLIENT_SPEED_FACTOR
+        runtime.world.add_client("client"),
+        cost_model=cost_model,
+        speed_factor=CLIENT_SPEED_FACTOR,
     )
     stub = client.connect(publisher.document_url)
-    mean = _measure(testbed.scheduler, lambda: stub.echo(ECHO_PAYLOAD), calls)
+    mean = _measure(runtime.world.scheduler, lambda: stub.echo(ECHO_PAYLOAD), calls)
     return RttResult(
         configuration="SDE SOAP/Axis",
         technology="soap",
@@ -174,25 +186,17 @@ def run_static_corba(calls: int = 100, cost_model: CostModel | None = None) -> R
 def run_sde_corba(calls: int = 100, cost_model: CostModel | None = None) -> RttResult:
     """SDE CORBA server (live, running within JPie) / static OpenORB client."""
     cost_model = cost_model or era_2004_cost_model()
-    testbed = LiveDevelopmentTestbed(
-        cost_model=cost_model,
-        sde_config=SDEConfig(cost_model=cost_model, publication_timeout=2.0),
-    )
-    testbed.create_corba_server(
-        "EchoService",
-        [OperationSpec("echo", (("message", STRING),), STRING, body=_echo_body)],
-    )
-    testbed.publish_now("EchoService")
-
-    server = testbed.sde.managed_server("EchoService")
-    publisher = server.publisher
-    handler = server.call_handler
+    runtime = _sde_echo_world("corba", cost_model)
+    replica = runtime.replicas("EchoService")[0]
     client = StaticCorbaClient(
-        testbed.client_host, cost_model=cost_model, speed_factor=CLIENT_SPEED_FACTOR
+        runtime.world.add_client("client"),
+        cost_model=cost_model,
+        speed_factor=CLIENT_SPEED_FACTOR,
     )
-    idl_document = testbed.sde.interface_server.document(publisher.document_path)
-    stub = client.connect(idl_document, handler.ior)  # type: ignore[attr-defined]
-    mean = _measure(testbed.scheduler, lambda: stub.echo(ECHO_PAYLOAD), calls)
+    interface_server = replica.node.sde.interface_server
+    idl_document = interface_server.document(replica.publisher.document_path)
+    stub = client.connect(idl_document, replica.call_handler.ior)  # type: ignore[attr-defined]
+    mean = _measure(runtime.world.scheduler, lambda: stub.echo(ECHO_PAYLOAD), calls)
     return RttResult(
         configuration="SDE CORBA/OpenORB",
         technology="corba",

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.util.validation import require_finite
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -32,7 +34,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
+        if self.timeout is not None:
+            require_finite(self.timeout, "timeout")
+            if self.timeout <= 0:
+                raise ValueError("timeout must be positive (or None)")
+        require_finite(self.backoff, "backoff")
         if self.backoff < 0:
             raise ValueError("backoff must be >= 0")

@@ -264,6 +264,25 @@ class TestSettingsValidation:
         with pytest.raises(ClusterError, match="until"):
             fault_drill_scenario(8).run(until=bad)
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_server_cores_must_be_positive(self, bad):
+        # cores=0 used to run with unbounded CPU; cores=-1 leaked a
+        # SchedulerError at build.
+        with pytest.raises(ClusterError, match="cores"):
+            Scenario().servers(1, cores=bad)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_calls_must_be_positive(self, bad):
+        # calls=-1 used to return an empty report.
+        with pytest.raises(ClusterError, match="calls"):
+            Scenario().clients(2, calls=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1])
+    def test_timeline_time_must_be_finite_and_non_negative(self, bad):
+        # at(nan)/at(-1) used to leak a SchedulerError at run.
+        with pytest.raises(ClusterError, match=r"at\(\) time"):
+            Scenario().at(bad, lambda: None)
+
     def test_wrong_argument_count_is_rejected_not_counted_stale(self):
         # Used to report 0 successes and 6 "stale faults" (§5.7).
         scenario = (

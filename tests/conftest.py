@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import Scenario, op
 from repro.core.sde import SDEConfig
 from repro.net import Network, loopback_profile, t1_lan_profile
-from repro.net.latency import era_2004_cost_model
 from repro.rmitypes import INT, STRING
 from repro.sim import Scheduler
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
 from repro.util.ids import reset_global_ids
 
 
@@ -46,28 +45,21 @@ def lan_network(scheduler: Scheduler) -> Network:
 
 
 @pytest.fixture
-def testbed() -> LiveDevelopmentTestbed:
-    """A complete live-development world with fast publication settings."""
-    return LiveDevelopmentTestbed(
-        sde_config=SDEConfig(publication_timeout=1.0, generation_cost=0.05)
-    )
+def fast_scenario() -> Scenario:
+    """A one-server scenario with fast publication settings."""
+    return Scenario(sde_config=SDEConfig(publication_timeout=1.0, generation_cost=0.05))
 
 
 @pytest.fixture
-def calculator_testbed(testbed: LiveDevelopmentTestbed):
-    """A testbed with a published SOAP Calculator and a connected client."""
-    calculator, instance = testbed.create_soap_server(
+def calculator_world(fast_scenario: Scenario):
+    """A built world with a published SOAP Calculator and a connected CDE
+    binding: ``(runtime, calculator class, binding)``."""
+    runtime = fast_scenario.service(
         "Calculator",
         [
-            OperationSpec("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b),
-            OperationSpec("greet", (("name", STRING),), STRING, body=lambda self, name: f"hello {name}"),
+            op("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b),
+            op("greet", (("name", STRING),), STRING, body=lambda self, name: f"hello {name}"),
         ],
-    )
-    testbed.publish_now("Calculator")
-    binding = testbed.connect_soap_client("Calculator")
-    return testbed, calculator, instance, binding
-
-
-def make_echo_operation():
-    """A reusable echo operation spec."""
-    return OperationSpec("echo", (("message", STRING),), STRING, body=lambda self, m: m)
+    ).build()
+    runtime.publish("Calculator")
+    return runtime, runtime.dynamic_class("Calculator"), runtime.connect("Calculator")

@@ -58,7 +58,7 @@ class TestClientFleet:
     def test_create_client_fleet_names_and_count(self):
         world = _echo_scenario("soap", clients=1, calls=1).build().world
         fleet = world.client_fleet(3)
-        assert [host.name for host in fleet] == ["wl-client-1", "wl-client-2", "wl-client-3"]
+        assert [host.name for host in fleet] == ["fleet-client-1", "fleet-client-2", "fleet-client-3"]
         assert all(host.network is world.network for host in fleet)
         # A second fleet under the same names reuses the attached machines.
         assert world.client_fleet(3) == fleet
@@ -77,14 +77,14 @@ class TestClientFleet:
         no further machines."""
         fresh = _echo_scenario(technology, clients=4, calls=5, think_time=0.01).run()
         runtime = _echo_scenario(technology, clients=4, calls=5, think_time=0.01).build()
-        hosts = runtime.world.client_fleet(4, prefix="fleet-client-")
+        hosts = runtime.world.client_fleet(4)
         prebuilt = runtime.run()
         assert prebuilt.all_rtts == fresh.all_rtts
         assert prebuilt.duration == fresh.duration
         assert prebuilt.total_successes == 20
         runtime.settle()
         runtime.run()
-        assert runtime.world.client_fleet(4, prefix="fleet-client-") == hosts
+        assert runtime.world.client_fleet(4) == hosts
         assert len(runtime.world.client_hosts) == 4
 
 

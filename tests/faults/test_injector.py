@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConnectionAbortedError
@@ -165,3 +167,10 @@ class TestRetryPolicyValidation:
             RetryPolicy(timeout=0.0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff=-1.0)
+
+    @pytest.mark.parametrize("field", ["timeout", "backoff"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_times(self, field, bad):
+        # timeout=nan used to be accepted and leak a SchedulerError mid-run.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RetryPolicy(**{field: bad})

@@ -2,35 +2,35 @@
 
 import pytest
 
-from repro.core.sde import SDEConfig
+from repro.cluster import op
 from repro.corba import CorbaServiceDefinition, StaticCorbaServer, StaticCorbaClient
 from repro.errors import NonExistentMethodError
 from repro.jpie import export_operation_table
 from repro.rmitypes import DOUBLE, FieldDef, INT, STRING, StructType
 from repro.soap import SoapServiceDefinition, StaticSoapServer, SoapClient
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
 
 
 def calculator_operations():
     return [
-        OperationSpec("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b),
-        OperationSpec("scale", (("x", DOUBLE), ("k", DOUBLE)), DOUBLE, body=lambda self, x, k: x * k),
+        op("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b),
+        op("scale", (("x", DOUBLE), ("k", DOUBLE)), DOUBLE, body=lambda self, x, k: x * k),
     ]
 
 
 class TestLiveSoapWorkflow:
-    def test_full_session(self, testbed):
+    def test_full_session(self, fast_scenario):
         # 1. The developer extends SOAPServer; deployment is automatic.
-        calculator, _instance = testbed.create_soap_server("Calculator", calculator_operations())
-        assert testbed.sde.is_managed("Calculator")
+        runtime = fast_scenario.service("Calculator", calculator_operations()).build()
+        calculator = runtime.dynamic_class("Calculator")
+        assert runtime.node_of("Calculator").sde.is_managed("Calculator")
 
         # 2. The interface is published after a stable interval.
-        testbed.settle()
-        publisher = testbed.sde.managed_server("Calculator").publisher
+        runtime.settle()
+        publisher = runtime.replicas("Calculator")[0].publisher
         assert publisher.is_published_current()
 
         # 3. A client connects through the published WSDL and calls methods.
-        binding = testbed.connect_soap_client("Calculator")
+        binding = runtime.connect("Calculator")
         assert binding.invoke("add", 20, 22) == 42
         assert binding.invoke("scale", 2.5, 4.0) == 10.0
 
@@ -43,26 +43,25 @@ class TestLiveSoapWorkflow:
         calculator.method("concat").set_parameters((Parameter("a", STRING), Parameter("b", STRING)))
         calculator.method("concat").set_body(lambda self, a, b: a + b)
         calculator.method("add").set_body(lambda self, a, b: a + b + 100)
-        testbed.settle()
+        runtime.settle()
 
         # 5. Behaviour changes are live immediately; interface changes after refresh.
         assert binding.invoke("add", 1, 1) == 102
         binding.refresh()
         assert binding.invoke("concat", "foo", "bar") == "foobar"
 
-    def test_server_state_survives_live_edits(self, testbed):
-        counter = testbed.environment.create_class(
-            "Counter", superclass=testbed.sde.soap_server_class
-        )
+    def test_server_state_survives_live_edits(self, fast_scenario):
+        runtime = fast_scenario.service("Counter").build()
+        counter = runtime.dynamic_class("Counter")
         counter.add_field("count", INT, 0)
         counter.add_method(
             "increment", (), INT,
             body=lambda self: (self.set_field("count", self.get_field("count") + 1), self.get_field("count"))[1],
             distributed=True,
         )
-        instance = counter.new_instance()
-        testbed.settle()
-        binding = testbed.connect_soap_client("Counter")
+        instance = runtime.replicas("Counter")[0].managed.instance
+        runtime.settle()
+        binding = runtime.connect("Counter")
         assert binding.invoke("increment") == 1
         assert binding.invoke("increment") == 2
         # Live body change: increment by ten, state (count=2) is preserved.
@@ -72,44 +71,45 @@ class TestLiveSoapWorkflow:
         assert binding.invoke("increment") == 12
         assert instance.get_field("count") == 12
 
-    def test_multiple_managed_servers_coexist(self, testbed):
-        testbed.create_soap_server("Alpha", calculator_operations())
-        testbed.create_corba_server("Beta", calculator_operations())
-        testbed.settle()
-        soap_binding = testbed.connect_soap_client("Alpha")
-        corba_binding = testbed.connect_corba_client("Beta")
+    def test_multiple_managed_servers_coexist(self, fast_scenario):
+        runtime = (
+            fast_scenario.service("Alpha", calculator_operations())
+            .service("Beta", calculator_operations(), technology="corba")
+            .build()
+        )
+        runtime.settle()
+        soap_binding = runtime.connect("Alpha")
+        corba_binding = runtime.connect("Beta")
         assert soap_binding.invoke("add", 1, 2) == 3
         assert corba_binding.invoke("add", 3, 4) == 7
 
-    def test_struct_types_flow_through_published_interface(self, testbed):
+    def test_struct_types_flow_through_published_interface(self, fast_scenario):
         point = StructType("Point", (FieldDef("x", DOUBLE), FieldDef("y", DOUBLE)))
-        norm_op = OperationSpec(
+        norm_op = op(
             "norm", (("p", point),), DOUBLE,
             body=lambda self, p: (p["x"] ** 2 + p["y"] ** 2) ** 0.5,
         )
-        calculator, _instance = testbed.create_soap_server("Geometry", [norm_op])
-        calculator.declare_struct(point)
-        testbed.publish_now("Geometry")
-        binding = testbed.connect_soap_client("Geometry")
+        runtime = fast_scenario.service("Geometry", [norm_op]).build()
+        runtime.dynamic_class("Geometry").declare_struct(point)
+        runtime.publish("Geometry")
+        binding = runtime.connect("Geometry")
         assert "Point" in binding.description.type_registry()
         assert binding.invoke("norm", {"x": 3.0, "y": 4.0}) == pytest.approx(5.0)
 
 
 class TestLiveCorbaWorkflow:
-    def test_full_session(self, testbed):
-        mailer = testbed.environment.create_class(
-            "MailService", superclass=testbed.sde.corba_server_class
-        )
+    def test_full_session(self, fast_scenario):
+        runtime = fast_scenario.service("MailService", technology="corba").build()
+        mailer = runtime.dynamic_class("MailService")
         mailer.add_field("outbox", INT, 0)
         mailer.add_method(
             "send", (), INT,
             body=lambda self: (self.set_field("outbox", self.get_field("outbox") + 1), self.get_field("outbox"))[1],
             distributed=True,
         )
-        mailer.new_instance()
-        testbed.settle()
+        runtime.settle()
 
-        binding = testbed.connect_corba_client("MailService")
+        binding = runtime.connect("MailService")
         assert binding.invoke("send") == 1
 
         # Live rename while the client still knows the old name.
@@ -120,18 +120,21 @@ class TestLiveCorbaWorkflow:
         assert binding.invoke("deliver") == 2
         assert binding.guarantee_records[-1].satisfied
 
-    def test_ior_remains_valid_across_interface_changes(self, testbed):
-        mailer, _instance = testbed.create_corba_server("MailService", calculator_operations())
-        testbed.publish_now("MailService")
-        binding = testbed.connect_corba_client("MailService")
-        ior_before = testbed.sde.interface_server.document(
-            testbed.sde.managed_server("MailService").publisher.ior_path
+    def test_ior_remains_valid_across_interface_changes(self, fast_scenario):
+        runtime = (
+            fast_scenario.service("MailService", calculator_operations(), technology="corba")
+            .build()
         )
-        mailer.add_method("ping", (), STRING, body=lambda self: "pong", distributed=True)
-        testbed.settle()
-        ior_after = testbed.sde.interface_server.document(
-            testbed.sde.managed_server("MailService").publisher.ior_path
+        runtime.publish("MailService")
+        binding = runtime.connect("MailService")
+        replica = runtime.replicas("MailService")[0]
+        interface_server = replica.node.sde.interface_server
+        ior_before = interface_server.document(replica.publisher.ior_path)
+        runtime.dynamic_class("MailService").add_method(
+            "ping", (), STRING, body=lambda self: "pong", distributed=True
         )
+        runtime.settle()
+        ior_after = interface_server.document(replica.publisher.ior_path)
         assert ior_before == ior_after
         binding.refresh()
         assert binding.invoke("ping") == "pong"
@@ -140,51 +143,57 @@ class TestLiveCorbaWorkflow:
 class TestExportToStaticServers:
     """§7: at the end of development the dynamic server is exported."""
 
-    def test_export_soap_server(self, testbed):
-        calculator, instance = testbed.create_soap_server("Calculator", calculator_operations())
-        testbed.publish_now("Calculator")
+    def test_export_soap_server(self, fast_scenario):
+        runtime = fast_scenario.service("Calculator", calculator_operations()).build()
+        runtime.publish("Calculator")
+        replica = runtime.replicas("Calculator")[0]
+        calculator, instance = replica.managed.dynamic_class, replica.managed.instance
 
         definition = SoapServiceDefinition("CalculatorExport", "urn:calc:export")
         for signature, implementation in export_operation_table(calculator, instance):
             definition.add_operation(signature, implementation)
-        static_server = StaticSoapServer(testbed.server_host, 8200, definition)
+        static_server = StaticSoapServer(replica.node.host, 8200, definition)
         static_server.start()
-        client = SoapClient(testbed.client_host)
+        client = SoapClient(runtime.world.add_client("client"))
         stub = client.connect(static_server.wsdl_url)
         assert stub.add(5, 6) == 11
 
-    def test_export_corba_server(self, testbed):
-        calculator, instance = testbed.create_corba_server("Calculator", calculator_operations())
-        testbed.publish_now("Calculator")
+    def test_export_corba_server(self, fast_scenario):
+        runtime = (
+            fast_scenario.service("Calculator", calculator_operations(), technology="corba")
+            .build()
+        )
+        runtime.publish("Calculator")
+        replica = runtime.replicas("Calculator")[0]
+        calculator, instance = replica.managed.dynamic_class, replica.managed.instance
 
         definition = CorbaServiceDefinition("CalculatorExport", "urn:calc:export")
         for signature, implementation in export_operation_table(calculator, instance):
             definition.add_operation(signature, implementation)
-        static_server = StaticCorbaServer(testbed.server_host, 9300, definition)
+        static_server = StaticCorbaServer(replica.node.host, 9300, definition)
         static_server.start()
-        client = StaticCorbaClient(testbed.client_host)
+        client = StaticCorbaClient(runtime.world.add_client("client"))
         stub = client.connect(static_server.idl_document, static_server.ior)
         assert stub.add(7, 8) == 15
 
 
 class TestFailureInjection:
-    def test_partition_prevents_calls_but_not_local_edits(self):
-        testbed = LiveDevelopmentTestbed(
-            sde_config=SDEConfig(publication_timeout=1.0, generation_cost=0.05)
-        )
-        calculator, _instance = testbed.create_soap_server("Calculator", calculator_operations())
-        testbed.publish_now("Calculator")
-        binding = testbed.connect_soap_client("Calculator")
+    def test_partition_prevents_calls_but_not_local_edits(self, fast_scenario):
+        runtime = fast_scenario.service("Calculator", calculator_operations()).build()
+        runtime.publish("Calculator")
+        binding = runtime.connect("Calculator")
         assert binding.invoke("add", 1, 2) == 3
 
-        testbed.network.partition("client", "server")
+        runtime.world.network.partition("cde", "server")
         with pytest.raises(Exception):
             binding.invoke("add", 1, 2)
 
         # Local development continues during the partition.
-        calculator.add_method("ping", (), STRING, body=lambda self: "pong", distributed=True)
-        testbed.settle()
+        runtime.dynamic_class("Calculator").add_method(
+            "ping", (), STRING, body=lambda self: "pong", distributed=True
+        )
+        runtime.settle()
 
-        testbed.network.heal("client", "server")
+        runtime.world.network.heal("cde", "server")
         binding.refresh()
         assert binding.invoke("ping") == "pong"

@@ -8,14 +8,26 @@ from repro.core.protocol import (
     run_figure7_matrix,
     run_figure8_matrix,
 )
+from repro.core.protocol.interleaving import (
+    FIGURE8_PUBLICATION_TIMINGS,
+    FIGURE8_UPDATE_TIMINGS,
+)
 from repro.experiments import (
     PAPER_TABLE1_RTT,
+    StaleFloodResult,
+    StrategyResult,
     run_encoding_comparison,
     run_interface_generation_sweep,
     run_publication_strategy_comparison,
     run_stale_flood,
 )
-from repro.experiments.table1 import run_sde_soap, run_static_soap, run_table1
+from repro.experiments.table1 import (
+    run_sde_corba,
+    run_sde_soap,
+    run_static_corba,
+    run_static_soap,
+    run_table1,
+)
 
 
 class TestFigure7:
@@ -112,6 +124,59 @@ class TestStaleFloodAblation:
         result = run_stale_flood(stale_calls=10, change_interface_first=False)
         assert result.generations == 0
         assert result.non_existent_method_faults == 10
+
+
+class TestExactExperimentOutputs:
+    """The paper experiments' outputs, pinned exactly (virtual time is
+    deterministic, so any drift is a behaviour change, not noise)."""
+
+    @pytest.mark.parametrize(
+        "driver, mean_rtt",
+        [
+            (run_sde_soap, 0.5478194300518119),
+            (run_static_soap, 0.5010176165803112),
+            (run_sde_corba, 0.4876101865284986),
+            (run_static_corba, 0.402610186528498),
+        ],
+    )
+    def test_table1_mean_rtt(self, driver, mean_rtt):
+        assert driver().mean_rtt == mean_rtt
+
+    def test_figure7_three_of_nine_consistent(self):
+        results = run_figure7_matrix()
+        assert (sum(result.consistent for result in results), len(results)) == (3, 9)
+
+    @pytest.mark.parametrize("technology", ["soap", "corba"])
+    def test_figure8_records(self, technology):
+        records = ReactivePublishingExperiment(technology=technology).run_matrix()
+        observed = [
+            (
+                record.publish_point,
+                record.update_point,
+                record.server_version_in_fault,
+                record.guarantee_satisfied,
+                record.client_version_after_call,
+                record.change_visible_to_developer,
+                record.publications,
+            )
+            for record in records
+        ]
+        assert observed == [
+            (publish_point, update_point, 3, True, 3, True, 3)
+            for publish_point in FIGURE8_PUBLICATION_TIMINGS
+            for update_point in FIGURE8_UPDATE_TIMINGS
+        ]
+        assert sum(record.to_result().consistent for record in records) == 16
+
+    def test_stale_flood(self):
+        assert run_stale_flood() == StaleFloodResult(50, 50, 1, 1, 1)
+
+    def test_publication_strategies(self):
+        assert run_publication_strategy_comparison() == [
+            StrategyResult("stable-timeout", 15, 3, 4, 0, True, 4.850000000000001),
+            StrategyResult("change-driven", 15, 15, 16, 12, True, 0.0),
+            StrategyResult("polling", 15, 3, 4, 0, True, 5.050000000000004),
+        ]
 
 
 class TestEncodingAndGenerationSweeps:

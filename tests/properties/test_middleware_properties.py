@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster import Scenario, op
 from repro.core.sde import SDEConfig
 from repro.errors import NonExistentMethodError
 from repro.interface import Parameter
 from repro.rmitypes import INT
 from repro.sim import ResettableTimer, Scheduler
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +56,22 @@ class TestResettableTimerProperties:
 edit_gaps = st.lists(st.floats(min_value=0.05, max_value=3.0), min_size=1, max_size=8)
 
 
+def _edited_service():
+    """A built world with one empty SOAP ``Service`` for the edits to grow."""
+    return (
+        Scenario(sde_config=SDEConfig(publication_timeout=1.0, generation_cost=0.1))
+        .service("Service")
+        .build()
+    )
+
+
 class TestPublisherProperties:
     @given(edit_gaps)
     @settings(max_examples=25, deadline=None)
     def test_final_interface_always_published(self, gaps):
-        testbed = LiveDevelopmentTestbed(
-            sde_config=SDEConfig(publication_timeout=1.0, generation_cost=0.1)
-        )
-        service, _instance = testbed.create_soap_server("Service", [])
-        publisher = testbed.sde.managed_server("Service").publisher
+        runtime = _edited_service()
+        service = runtime.dynamic_class("Service")
+        publisher = runtime.replicas("Service")[0].publisher
 
         for index, gap in enumerate(gaps):
             service.add_method(
@@ -74,9 +81,9 @@ class TestPublisherProperties:
                 body=lambda self, value: value,
                 distributed=True,
             )
-            testbed.run_for(gap)
-        testbed.run_for(1.0 + 3 * 0.1 + 0.01)
-        testbed.scheduler.run_until_idle()
+            runtime.world.run_for(gap)
+        runtime.world.run_for(1.0 + 3 * 0.1 + 0.01)
+        runtime.world.run_until_idle()
 
         assert publisher.is_published_current()
         assert publisher.published_description.operation_names() == tuple(
@@ -86,18 +93,16 @@ class TestPublisherProperties:
     @given(edit_gaps)
     @settings(max_examples=25, deadline=None)
     def test_versions_strictly_increase_and_no_duplicate_publications(self, gaps):
-        testbed = LiveDevelopmentTestbed(
-            sde_config=SDEConfig(publication_timeout=1.0, generation_cost=0.1)
-        )
-        service, _instance = testbed.create_soap_server("Service", [])
-        publisher = testbed.sde.managed_server("Service").publisher
+        runtime = _edited_service()
+        service = runtime.dynamic_class("Service")
+        publisher = runtime.replicas("Service")[0].publisher
 
         for index, gap in enumerate(gaps):
             service.add_method(
                 f"operation_{index}", (), INT, body=lambda self: 0, distributed=True
             )
-            testbed.run_for(gap)
-        testbed.scheduler.run_until_idle()
+            runtime.world.run_for(gap)
+        runtime.world.run_until_idle()
 
         history = publisher.publication_history
         versions = [record.version for record in history]
@@ -109,17 +114,15 @@ class TestPublisherProperties:
     @given(edit_gaps)
     @settings(max_examples=25, deadline=None)
     def test_publications_never_exceed_edits_plus_minimal(self, gaps):
-        testbed = LiveDevelopmentTestbed(
-            sde_config=SDEConfig(publication_timeout=1.0, generation_cost=0.1)
-        )
-        service, _instance = testbed.create_soap_server("Service", [])
-        publisher = testbed.sde.managed_server("Service").publisher
+        runtime = _edited_service()
+        service = runtime.dynamic_class("Service")
+        publisher = runtime.replicas("Service")[0].publisher
         for index, gap in enumerate(gaps):
             service.add_method(
                 f"operation_{index}", (), INT, body=lambda self: 0, distributed=True
             )
-            testbed.run_for(gap)
-        testbed.scheduler.run_until_idle()
+            runtime.world.run_for(gap)
+        runtime.world.run_until_idle()
         assert publisher.stats.publications <= len(gaps) + 1
 
 
@@ -137,22 +140,20 @@ class TestConsistencyProperties:
     )
     @settings(max_examples=20, deadline=None)
     def test_recency_guarantee_under_random_timing(self, edit_delay, call_delay, timeout, technology):
-        testbed = LiveDevelopmentTestbed(
-            sde_config=SDEConfig(publication_timeout=timeout, generation_cost=0.1)
+        runtime = (
+            Scenario(sde_config=SDEConfig(publication_timeout=timeout, generation_cost=0.1))
+            .service(
+                "Service",
+                [op("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b)],
+                technology=technology,
+            )
+            .build()
         )
-        operations = [
-            OperationSpec("add", (("a", INT), ("b", INT)), INT, body=lambda self, a, b: a + b)
-        ]
-        if technology == "soap":
-            service, _instance = testbed.create_soap_server("Service", operations)
-            testbed.publish_now("Service")
-            binding = testbed.connect_soap_client("Service")
-        else:
-            service, _instance = testbed.create_corba_server("Service", operations)
-            testbed.publish_now("Service")
-            binding = testbed.connect_corba_client("Service")
+        runtime.publish("Service")
+        binding = runtime.connect("Service")
+        service = runtime.dynamic_class("Service")
 
-        scheduler = testbed.scheduler
+        scheduler = runtime.world.scheduler
         outcome = {}
 
         scheduler.schedule(edit_delay, lambda: service.method("add").rename("sum"),

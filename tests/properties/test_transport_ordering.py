@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster import Scenario, op
 from repro.core.sde import SDEConfig
 from repro.core.sde.call_handler import DispatchOutcome
 from repro.net import Network, loopback_profile
@@ -22,7 +23,6 @@ from repro.net.simnet import Address
 from repro.net.transport import Deferred, Endpoint
 from repro.rmitypes import INT, VOID
 from repro.sim import Scheduler
-from repro.testbed import LiveDevelopmentTestbed, OperationSpec
 
 
 # ---------------------------------------------------------------------------
@@ -108,19 +108,17 @@ class TestConnectionFifoProperties:
 # ---------------------------------------------------------------------------
 
 
-def _stalled_testbed():
-    """A testbed whose EchoService has an unpublished edit pending, so the
-    next stale call stalls (timer running, no generation in progress)."""
-    testbed = LiveDevelopmentTestbed(
-        sde_config=SDEConfig(publication_timeout=30.0, reactive_publication=True)
+def _stalled_world():
+    """A built world whose EchoService has an unpublished edit pending, so
+    the next stale call stalls (timer running, no generation in progress)."""
+    runtime = (
+        Scenario(sde_config=SDEConfig(publication_timeout=30.0, reactive_publication=True))
+        .service("EchoService", [op("echo", (("x", INT),), INT, body=lambda _self, x: x)])
+        .build()
     )
-    dynamic_class, _instance = testbed.create_soap_server(
-        "EchoService",
-        [OperationSpec("echo", (("x", INT),), INT, body=lambda _self, x: x)],
-    )
-    testbed.publish_now("EchoService")
-    dynamic_class.add_method("pending_edit", (), VOID, distributed=True)
-    return testbed
+    runtime.publish("EchoService")
+    runtime.dynamic_class("EchoService").add_method("pending_edit", (), VOID, distributed=True)
+    return runtime
 
 
 class TestStallDrainProperties:
@@ -137,8 +135,8 @@ class TestStallDrainProperties:
     def test_queued_calls_drain_in_arrival_order(self, arrivals):
         """For any arrival pattern behind a stall, processing order equals
         arrival order once the publisher has caught up."""
-        testbed = _stalled_testbed()
-        handler = testbed.sde.managed_server("EchoService").call_handler
+        runtime = _stalled_world()
+        handler = runtime.replicas("EchoService")[0].call_handler
         completed: list[str] = []
 
         def dispatch(tag: str, operation: str, arguments: tuple) -> None:
@@ -158,8 +156,8 @@ class TestStallDrainProperties:
         at = 0.0
         for index, gap in enumerate(arrivals):
             at += gap
-            testbed.scheduler.schedule(at, dispatch, f"call-{index}", "echo", (index,))
-        testbed.run_until_idle()
+            runtime.world.scheduler.schedule(at, dispatch, f"call-{index}", "echo", (index,))
+        runtime.world.run_until_idle()
 
         assert not handler.stalled
         assert completed[0] == "stale"
@@ -174,12 +172,12 @@ class TestStallDrainProperties:
         once the publisher catches up."""
         from repro.soap.envelope import SoapRequest, SoapResponse
 
-        testbed = _stalled_testbed()
-        handler = testbed.sde.managed_server("EchoService").call_handler
-        binding = testbed.connect_soap_client("EchoService", reactive_updates=False)
+        runtime = _stalled_world()
+        handler = runtime.replicas("EchoService")[0].call_handler
+        binding = runtime.connect("EchoService", reactive_updates=False)
         description = binding.description
         registry = description.type_registry()
-        http = testbed.cde.http_client
+        http = runtime.cde.http_client
 
         def post_async(operation, arguments):
             request = SoapRequest.for_call(
@@ -192,7 +190,7 @@ class TestStallDrainProperties:
         completion_order: list[str] = []
         deferreds = [post_async("not_a_method", ())]
         deferreds[0].subscribe(lambda *_: completion_order.append("stale"))
-        testbed.scheduler.run_until(lambda: handler.stalled, description="stall begins")
+        runtime.world.scheduler.run_until(lambda: handler.stalled, description="stall begins")
 
         for index in range(1, calls):
             deferred = post_async("echo", (index,))
@@ -200,7 +198,7 @@ class TestStallDrainProperties:
                 lambda *_, tag=f"echo-{index}": completion_order.append(tag)
             )
             deferreds.append(deferred)
-        testbed.run_until_idle()
+        runtime.world.run_until_idle()
 
         assert completion_order == ["stale"] + [f"echo-{i}" for i in range(1, calls)]
         assert handler.stats.stalled_calls == 1
@@ -208,6 +206,6 @@ class TestStallDrainProperties:
         assert handler.stats.max_stall_queue_depth == calls - 1
         # The queued echo calls all produced real results after the drain.
         for index in range(1, calls):
-            response = SoapResponse.from_xml(deferreds[index].wait(testbed.scheduler).body, registry)
+            response = SoapResponse.from_xml(deferreds[index].wait(runtime.world.scheduler).body, registry)
             assert not response.is_fault
             assert response.return_value == index
