@@ -20,6 +20,11 @@ is done once per flow (ARCHITECTURE.md "Cohort model", plan cost).
 ``REPRO_BENCH_QUICK=1`` (set by ``run_all.py --quick``) drops the scale to
 100k clients.
 
+``deterministic_plan_heap_bytes_per_client`` is the tracemalloc peak of one
+plan stage (``_build_plans``) at 100k clients, per client: tracemalloc
+counts allocations exactly, so the figure repeats run to run and lets
+``run_all.py --strict`` tell a plan-memory regression from machine noise.
+
 Run with:  pytest benchmarks/bench_million_clients.py --benchmark-only -s
 """
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -40,6 +46,21 @@ _QUICK = os.environ.get("REPRO_BENCH_QUICK") == "1"
 
 CLIENTS = MILLION_CLIENTS_QUICK if _QUICK else MILLION_CLIENTS
 REPRESENTATIVES = 32
+
+
+def plan_heap_bytes_per_client(clients: int = MILLION_CLIENTS_QUICK) -> float:
+    """Peak traced heap of one plan stage of the drill, per client."""
+    runtime = million_client_scenario(clients).build()
+    # An untraced pass first: one-time caches and the client hosts are then
+    # in place, so the traced pass measures the steady-state plan stage.
+    runtime._build_plans()
+    tracemalloc.start()
+    try:
+        runtime._build_plans()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round(peak / clients, 2)
 
 
 @pytest.mark.benchmark(group="million-clients")
@@ -92,6 +113,9 @@ def test_million_clients_cohort_drill(benchmark):
     benchmark.extra_info["deterministic_rebinds"] = first.total_rebinds
     benchmark.extra_info["deterministic_abandoned_calls"] = first.total_abandoned_calls
     benchmark.extra_info["recency_violations"] = first.total_recency_violations
+    benchmark.extra_info["deterministic_plan_heap_bytes_per_client"] = (
+        plan_heap_bytes_per_client()
+    )
     benchmark.extra_info["modeled_rtt_p50_s"] = round(percentiles["p50"], 6)
     benchmark.extra_info["modeled_rtt_p95_s"] = round(percentiles["p95"], 6)
     benchmark.extra_info["modeled_rtt_p99_s"] = round(percentiles["p99"], 6)

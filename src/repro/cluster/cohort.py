@@ -67,6 +67,11 @@ from repro.cluster.histogram import DEFAULT_BIN_WIDTH, LatencyHistogram
 from repro.cluster.report import CohortReport
 from repro.errors import ClusterError, NoAliveReplicaError
 from repro.evolve.graph import ClientBinding
+from repro.util.validation import (
+    require_finite,
+    require_non_negative,
+    require_positive,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from array import array
@@ -116,14 +121,17 @@ class CohortModel:
             raise ClusterError(
                 f"cohort representatives must be non-negative, got {self.representatives}"
             )
-        if self.tick <= 0:
-            raise ClusterError(f"cohort tick must be positive, got {self.tick}")
-        if self.period is not None and self.period < 0:
-            raise ClusterError(f"cohort period must be non-negative, got {self.period}")
-        if self.cpu_cost is not None and self.cpu_cost < 0:
-            raise ClusterError(
-                f"cohort cpu_cost must be non-negative, got {self.cpu_cost}"
-            )
+        require_finite(self.tick, "cohort tick", ClusterError)
+        require_positive(self.tick, "cohort tick", ClusterError)
+        for value, name in (
+            (self.period, "cohort period"),
+            (self.cpu_cost, "cohort cpu_cost"),
+        ):
+            if value is not None:
+                require_finite(value, name, ClusterError)
+                require_non_negative(value, name, ClusterError)
+        require_finite(self.bin_width, "cohort bin_width", ClusterError)
+        require_positive(self.bin_width, "cohort bin_width", ClusterError)
         if self.max_attempts < 1:
             raise ClusterError(
                 f"cohort max_attempts must be at least 1, got {self.max_attempts}"

@@ -13,6 +13,7 @@ transport layer's per-connection FIFO correlation survives any profile.
 from __future__ import annotations
 
 from repro.util.rng import DeterministicRng
+from repro.util.validation import require_finite
 
 
 class LinkFaultProfile:
@@ -40,6 +41,7 @@ class LinkFaultProfile:
     ) -> None:
         if not 0.0 <= loss <= 1.0:
             raise ValueError(f"loss probability must be in [0, 1], got {loss}")
+        require_finite(jitter, "jitter")
         if jitter < 0.0:
             raise ValueError(f"jitter must be >= 0, got {jitter}")
         self.loss = loss

@@ -52,6 +52,7 @@ from repro.obs.spans import (
     Span,
     Tracer,
 )
+from repro.util.validation import require_finite, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.driver import FleetDriver
@@ -94,6 +95,16 @@ class ObsConfig:
     #: cumulative good/total gauge pair on the sampler and is evaluated
     #: (compliance + burn-rate alerts) onto ``ClusterReport.slo_results``.
     slos: "tuple[SLO, ...]" = ()
+
+    def __post_init__(self) -> None:
+        require_finite(self.sample_interval, "ObsConfig sample_interval", ReproError)
+        require_positive(self.sample_interval, "ObsConfig sample_interval", ReproError)
+        for value, name in (
+            (self.ring_capacity, "ObsConfig ring_capacity"),
+            (self.max_samples, "ObsConfig max_samples"),
+        ):
+            if value < 1:
+                raise ReproError(f"{name} must be at least 1, got {value!r}")
 
 
 class Observability:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.errors import ReproError
+from repro.util.validation import require_finite, require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsReport, MetricsSampler
@@ -65,6 +66,15 @@ class BurnWindow:
     short_s: float
     #: Alert when both windows burn budget at >= this multiple of steady use.
     factor: float
+
+    def __post_init__(self) -> None:
+        for value, name in (
+            (self.long_s, "burn window long_s"),
+            (self.short_s, "burn window short_s"),
+            (self.factor, "burn window factor"),
+        ):
+            require_finite(value, name, ReproError)
+            require_positive(value, name, ReproError)
 
     def to_dict(self) -> dict[str, float]:
         return {"long_s": self.long_s, "short_s": self.short_s, "factor": self.factor}
@@ -104,6 +114,10 @@ class SLO:
             )
         if self.kind == KIND_LATENCY and self.threshold_s is None:
             raise ReproError(f"latency SLO {self.name!r} needs threshold_s")
+        if self.threshold_s is not None:
+            name = f"SLO {self.name!r} threshold_s"
+            require_finite(self.threshold_s, name, ReproError)
+            require_positive(self.threshold_s, name, ReproError)
 
     @property
     def good_series(self) -> str:

@@ -21,6 +21,9 @@ Determinism invariants (ARCHITECTURE.md "Traffic model & replay"):
 * **Position i is the i-th arrival.**  Offsets are returned sorted, so a
   group's protocol interleave (assigned by position) matches arrival
   order.
+* **Packed, not boxed.**  Offsets come back as an ``array("d")`` — 8 bytes
+  per client, no Python float object kept per client — because a cohort
+  group resolves one offset for each of its (up to millions of) clients.
 
 :func:`resolve_offsets` is the single entry point the cluster layer uses:
 it accepts the legacy scalar spacing, the legacy position→offset callable,
@@ -39,10 +42,10 @@ import random
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, filterfalse, islice, repeat
+from itertools import accumulate, chain, filterfalse, islice, repeat
 from math import isfinite, log
 from operator import mul
-from typing import Any, Iterable
+from typing import Any, ClassVar, Iterable, Iterator
 
 from repro.errors import ClusterError
 from repro.util.validation import (
@@ -50,6 +53,10 @@ from repro.util.validation import (
     require_non_negative,
     require_positive,
 )
+
+#: Gaps :class:`Poisson` draws per batch: the temporary gap and running-sum
+#: lists stay this long however large the group is.
+POISSON_CHUNK = 1 << 13
 
 
 def _require_positive(value: float, name: str) -> None:
@@ -74,15 +81,26 @@ class ArrivalProcess:
 
     seed: int = 0
 
+    #: Whether :meth:`sample` yields its offsets in ascending order, so
+    #: :meth:`offsets` need not sort them.  A fact about the class's own
+    #: ``sample``, not a setting: a subclass that overrides ``sample``
+    #: without restating it is sorted again.
+    sorted_sample: ClassVar[bool] = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "sample" in vars(cls) and "sorted_sample" not in vars(cls):
+            cls.sorted_sample = False
+
     def sample(self, rng: random.Random, count: int) -> Iterable[float]:
         raise NotImplementedError
 
-    def offsets(self, count: int) -> list[float]:
+    def offsets(self, count: int) -> array:
         """The group's per-client start offsets, sorted (position = rank)."""
         if count < 0:
             raise ClusterError(f"arrival count must be non-negative, got {count}")
-        values = list(map(float, self.sample(self._rng(), count)))
-        values.sort()
+        drawn = self.sample(self._rng(), count)
+        values = array("d", drawn if self.sorted_sample else sorted(drawn))
         if len(values) != count:
             raise ClusterError(
                 f"{type(self).__name__} produced {len(values)} offsets for "
@@ -108,18 +126,30 @@ class Poisson(ArrivalProcess):
 
     rate: float = 1.0
 
+    #: Exponential gaps are non-negative, so the running sums ascend.
+    sorted_sample: ClassVar[bool] = True
+
     def __post_init__(self) -> None:
         _require_positive(self.rate, "Poisson rate")
 
     def sample(self, rng: random.Random, count: int) -> Iterable[float]:
+        return chain.from_iterable(self._chunks(rng, count))
+
+    def _chunks(self, rng: random.Random, count: int) -> Iterator[Iterable[float]]:
         # rng.expovariate(rate) inlined: the very expression its body
         # evaluates, so every gap is bit-identical to an expovariate draw.
         rate = self.rate
         draw = rng.random
-        gaps = [-log(1.0 - draw()) / rate for _ in repeat(None, count)]
-        # Starting the running sum at 0.0 (then dropping that seed) adds
-        # exactly like ``now = 0.0; now += gap`` does, first gap included.
-        return islice(accumulate(gaps, initial=0.0), 1, None)
+        now = 0.0
+        for start in range(0, count, POISSON_CHUNK):
+            size = min(POISSON_CHUNK, count - start)
+            gaps = [-log(1.0 - draw()) / rate for _ in repeat(None, size)]
+            # Seeding each chunk's running sum with the last one's total
+            # (then dropping that seed) adds exactly like ``now += gap``
+            # does, one gap at a time from 0.0.
+            sums = list(accumulate(gaps, initial=now))
+            now = sums[-1]
+            yield islice(sums, 1, None)
 
 
 @dataclass(frozen=True)
@@ -133,6 +163,9 @@ class ParetoHeavyTail(ArrivalProcess):
 
     alpha: float = 1.5
     scale: float = 0.01
+
+    #: Pareto draws are at least 1, so every gap is non-negative.
+    sorted_sample: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _require_positive(self.alpha, "ParetoHeavyTail alpha")
@@ -256,7 +289,7 @@ class ClientChurn(ArrivalProcess):
             yield joined
 
 
-def resolve_offsets(arrival: Any, count: int) -> list[float]:
+def resolve_offsets(arrival: Any, count: int) -> array:
     """Per-position start offsets for a ``count``-client group.
 
     The one shared resolver behind ``Scenario.clients(..., arrival=...)``
@@ -270,10 +303,11 @@ def resolve_offsets(arrival: Any, count: int) -> list[float]:
     * an :class:`ArrivalProcess` draws the whole group's offsets from its
       seeded stream (position = arrival rank).
 
-    Offsets must be finite and non-negative; the same list feeds both the
-    discrete representatives and the modeled flow mass, so cohort
-    aggregation never shifts when anyone arrives.  Whether the offsets
-    come back sorted is :func:`resolves_sorted`.
+    Every form comes back as a fresh ``array("d")``.  Offsets must be
+    finite and non-negative; the same array feeds both the discrete
+    representatives and the modeled flow mass, so cohort aggregation never
+    shifts when anyone arrives.  Whether the offsets come back sorted is
+    :func:`resolves_sorted`.
     """
     if count < 0:
         raise ClusterError(f"arrival count must be non-negative, got {count}")
@@ -284,14 +318,14 @@ def resolve_offsets(arrival: Any, count: int) -> list[float]:
             raise ClusterError(
                 f"{len(arrival)} recorded arrival offsets for {count} clients"
             )
-        offsets = list(map(float, arrival))
+        offsets = array("d", map(float, arrival))
     elif callable(arrival):
-        offsets = list(map(float, map(arrival, range(count))))
+        offsets = array("d", map(float, map(arrival, range(count))))
     else:
         step = float(arrival)
         _require_non_negative(step, "arrival spacing")
         # int * float in C: the same product as ``position * step``.
-        return list(map(mul, range(count), repeat(step)))
+        return array("d", map(mul, range(count), repeat(step)))
     if offsets:
         non_finite = next(filterfalse(isfinite, offsets), None)
         if non_finite is not None:

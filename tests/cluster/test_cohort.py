@@ -12,6 +12,8 @@ different host name).
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -224,6 +226,26 @@ class TestCohortModelValidation:
     def test_bad_parameters_rejected(self, kwargs):
         with pytest.raises(ClusterError):
             CohortModel(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            ("tick", math.nan, "must be finite"),
+            ("tick", math.inf, "must be finite"),
+            ("period", math.nan, "must be finite"),
+            ("cpu_cost", math.inf, "must be finite"),
+            ("bin_width", math.nan, "must be finite"),
+            ("bin_width", 0.0, "must be positive"),
+            ("bin_width", -1.0, "must be positive"),
+        ],
+    )
+    def test_non_finite_and_empty_settings_rejected_at_construction(
+        self, field, bad, message
+    ):
+        # Each was accepted before; bin_width=0 only failed later, inside
+        # the plan stage, with the histogram's own error.
+        with pytest.raises(ClusterError, match=f"cohort {field} {message}"):
+            CohortModel(**{field: bad})
 
 
 def _flow_offsets(clients, arrival, representatives=0):

@@ -29,6 +29,10 @@ class TestLinkFaultProfile:
         with pytest.raises(ValueError):
             LinkFaultProfile(jitter=-0.1)
 
+    def test_infinite_jitter_rejected(self):
+        with pytest.raises(ValueError, match="jitter must be finite"):
+            LinkFaultProfile(jitter=math.inf)
+
     def test_loss_zero_never_drops_and_jitter_zero_never_delays(self):
         profile = LinkFaultProfile(loss=0.0, jitter=0.0)
         assert [profile.sample(10) for _ in range(20)] == [(False, 0.0)] * 20

@@ -21,7 +21,7 @@ from repro.errors import (
 
 class TestPublicApi:
     def test_version_exported(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
 
     def test_pyproject_reads_the_package_version(self):
         pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"

@@ -8,6 +8,7 @@ exercised in isolation against a bare :class:`~repro.sim.Scheduler`.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -272,3 +273,20 @@ class TestObservabilityResolve:
     def test_junk_rejected(self):
         with pytest.raises(ReproError):
             Observability.resolve("yes")
+
+
+class TestObsConfigValidation:
+    @pytest.mark.parametrize(
+        "field, bad, message",
+        [
+            # nan used to reach the run and leak a SchedulerError.
+            ("sample_interval", math.nan, "must be finite"),
+            # 0 used to be rejected only once the run started.
+            ("sample_interval", 0.0, "must be positive"),
+            ("ring_capacity", 0, "must be at least 1"),
+            ("max_samples", -1, "must be at least 1"),
+        ],
+    )
+    def test_bad_settings_rejected_at_construction(self, field, bad, message):
+        with pytest.raises(ReproError, match=f"ObsConfig {field} {message}"):
+            ObsConfig(**{field: bad})

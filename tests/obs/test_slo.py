@@ -62,6 +62,16 @@ class TestDeclarations:
             with pytest.raises(ReproError):
                 availability_slo("bad", objective=objective)
 
+    def test_non_finite_threshold_rejected(self):
+        with pytest.raises(ReproError, match="threshold_s must be finite"):
+            latency_slo("x", threshold_s=math.nan)
+
+    @pytest.mark.parametrize("field", ["long_s", "short_s", "factor"])
+    def test_non_finite_burn_window_rejected(self, field):
+        settings = {"long_s": 0.1, "short_s": 0.01, "factor": 2.0, field: math.nan}
+        with pytest.raises(ReproError, match=f"burn window {field} must be finite"):
+            BurnWindow(**settings)
+
     def test_latency_needs_a_threshold(self):
         with pytest.raises(ReproError):
             SLO(name="bad", kind="latency", objective=0.99)

@@ -19,7 +19,7 @@ from repro.traffic import (
     Poisson,
     resolve_offsets,
 )
-from repro.traffic.arrivals import resolves_sorted
+from repro.traffic.arrivals import POISSON_CHUNK, resolves_sorted
 
 ALL_PROCESSES = [
     Poisson(rate=200.0, seed=3),
@@ -47,12 +47,12 @@ class TestDeterminism:
     def test_offsets_sorted_non_negative_exact_count(self, process):
         offsets = process.offsets(128)
         assert len(offsets) == 128
-        assert offsets == sorted(offsets)
+        assert offsets.tolist() == sorted(offsets)
         assert all(offset >= 0.0 for offset in offsets)
 
     def test_zero_count(self):
-        assert Poisson(rate=10.0).offsets(0) == []
-        assert resolve_offsets(Poisson(rate=10.0), 0) == []
+        assert Poisson(rate=10.0).offsets(0).tolist() == []
+        assert resolve_offsets(Poisson(rate=10.0), 0).tolist() == []
 
 
 class TestShapes:
@@ -124,10 +124,10 @@ class TestValidation:
 
 class TestResolveOffsets:
     def test_scalar_spacing(self):
-        assert resolve_offsets(0.5, 4) == [0.0, 0.5, 1.0, 1.5]
+        assert resolve_offsets(0.5, 4).tolist() == [0.0, 0.5, 1.0, 1.5]
 
     def test_callable(self):
-        assert resolve_offsets(lambda i: i * i * 0.1, 4) == pytest.approx(
+        assert resolve_offsets(lambda i: i * i * 0.1, 4).tolist() == pytest.approx(
             [0.0, 0.1, 0.4, 0.9]
         )
 
@@ -147,7 +147,7 @@ class TestResolveOffsets:
         recorded = [0.3, 0.1, 0.2]
         for sequence in (recorded, tuple(recorded), array("d", recorded)):
             offsets = resolve_offsets(sequence, 3)
-            assert offsets == recorded
+            assert offsets.tolist() == recorded
             assert offsets is not sequence
 
     @pytest.mark.parametrize(
@@ -163,11 +163,52 @@ class TestResolveOffsets:
         assert resolves_sorted(arrival) is presorted
         if presorted:
             offsets = resolve_offsets(arrival, 50)
-            assert offsets == sorted(offsets)
+            assert offsets.tolist() == sorted(offsets)
 
     def test_recorded_offsets_must_match_the_count(self):
         with pytest.raises(ClusterError, match="2 recorded arrival offsets for 3"):
             resolve_offsets([0.0, 0.1], 3)
+
+    @pytest.mark.parametrize(
+        "arrival",
+        [
+            *ALL_PROCESSES,
+            0.5,
+            lambda position: 1.0 - position * 0.01,
+            [0.3, 0.1] * 25,
+            (0.3, 0.1) * 25,
+            array("d", [0.3, 0.1] * 25),
+        ],
+        ids=lambda arrival: type(arrival).__name__,
+    )
+    def test_every_form_resolves_to_packed_doubles(self, arrival):
+        offsets = resolve_offsets(arrival, 50)
+        assert isinstance(offsets, array) and offsets.typecode == "d"
+        assert len(offsets) == 50
+
+
+class TestSortedSample:
+    def test_only_monotone_processes_skip_the_sort(self):
+        assert Poisson.sorted_sample and ParetoHeavyTail.sorted_sample
+        for process in (Diurnal, FlashCrowd, ClientChurn, ArrivalProcess):
+            assert not process.sorted_sample
+
+    def test_flag_is_not_a_setting(self):
+        from dataclasses import fields
+
+        assert "sorted_sample" not in {field.name for field in fields(Poisson)}
+        with pytest.raises(TypeError):
+            Poisson(rate=1.0, sorted_sample=False)
+
+    def test_subclass_overriding_sample_is_sorted_again(self):
+        class Backwards(Poisson):
+            def sample(self, rng, count):
+                return reversed(list(super().sample(rng, count)))
+
+        assert not Backwards.sorted_sample
+        offsets = Backwards(rate=10.0, seed=1).offsets(40)
+        assert offsets.tolist() == sorted(offsets)
+        assert offsets == Poisson(rate=10.0, seed=1).offsets(40)
 
 
 def _reference_poisson(rate, seed, count):
@@ -191,6 +232,17 @@ class TestPoissonBitIdentity:
     def test_offsets_equal_the_expovariate_accumulation(self, seed, rate, count):
         offsets = Poisson(rate=rate, seed=seed).offsets(count)
         expected = _reference_poisson(rate, seed, count)
+        assert [value.hex() for value in offsets] == [
+            value.hex() for value in expected
+        ]
+
+    @pytest.mark.parametrize(
+        "count",
+        [0, 1, POISSON_CHUNK - 1, POISSON_CHUNK, POISSON_CHUNK + 1, 3 * POISSON_CHUNK + 7],
+    )
+    def test_running_sum_carries_across_chunks(self, count):
+        offsets = Poisson(rate=250.0, seed=17).offsets(count)
+        expected = _reference_poisson(250.0, 17, count)
         assert [value.hex() for value in offsets] == [
             value.hex() for value in expected
         ]

@@ -186,7 +186,7 @@ class TestReplayByteIdentity:
         rebuilt = replay(reader)
         group = rebuilt._client_groups[0]
         assert not isinstance(group.arrival, Poisson)
-        assert group.arrival == process.offsets(group.count)
+        assert group.arrival == process.offsets(group.count).tolist()
         assert rebuilt.run().fingerprint() == report.fingerprint()
 
     def test_cohort_world_replays_byte_identical(self, tmp_path):
