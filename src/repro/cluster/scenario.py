@@ -140,6 +140,10 @@ def churn(service: str, rounds: int = 3, period: float = 1.0, prefix: str = "chu
     distributed method is added to every replica of ``service`` and a
     publication is forced — sustained interface churn under load.
     """
+    if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1:
+        raise ClusterError(f"churn rounds must be an int of at least 1, got {rounds!r}")
+    require_finite(period, "churn period", ClusterError)
+    require_non_negative(period, "churn period", ClusterError)
 
     def action(runtime: "ScenarioRuntime") -> None:
         state = {"round": 0}

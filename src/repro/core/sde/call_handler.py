@@ -155,18 +155,15 @@ class CallHandler:
 
     def _match(self, operation: str, arguments: tuple[Any, ...]):
         """Find a distributed method matching the requested call, if any."""
-        for method in self.dynamic_class.distributed_methods():
-            if method.name != operation:
-                continue
-            if len(method.parameters) != len(arguments):
+        method = self.dynamic_class.distributed_method(operation)
+        if method is None or len(method.parameters) != len(arguments):
+            return None
+        for value, parameter in zip(arguments, method.parameters):
+            try:
+                parameter.param_type.validate(value)
+            except Exception:
                 return None
-            for value, parameter in zip(arguments, method.parameters):
-                try:
-                    parameter.param_type.validate(value)
-                except Exception:
-                    return None
-            return method
-        return None
+        return method
 
     @property
     def stall_queue_depth(self) -> int:

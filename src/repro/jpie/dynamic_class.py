@@ -285,6 +285,14 @@ class DynamicClass(Listenable):
             )
         )
 
+    def distributed_method(self, name: str) -> DynamicMethod | None:
+        """This class's own distributed method named ``name``, if any
+        (inherited methods are not part of the served interface)."""
+        method = self._methods.get(name)
+        if method is not None and method.is_distributed:
+            return method
+        return None
+
     def distributed_signatures(self) -> tuple[OperationSignature, ...]:
         """Signatures of the distributed methods (the server interface)."""
         return tuple(m.signature() for m in self.distributed_methods())

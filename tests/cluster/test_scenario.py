@@ -283,6 +283,24 @@ class TestSettingsValidation:
         with pytest.raises(ClusterError, match=r"at\(\) time"):
             Scenario().at(bad, lambda: None)
 
+    @pytest.mark.parametrize(
+        "setting, kwargs",
+        [
+            ("rounds", {"rounds": 0}),
+            ("rounds", {"rounds": -2}),
+            ("rounds", {"rounds": 2.5}),
+            ("rounds", {"rounds": True}),
+            ("period", {"period": math.nan}),
+            ("period", {"period": math.inf}),
+            ("period", {"period": -0.5}),
+        ],
+    )
+    def test_churn_settings_rejected_at_declaration(self, setting, kwargs):
+        # rounds=0 used to perform one edit and forced publication, and a
+        # non-finite period reached the scheduler only at run time.
+        with pytest.raises(ClusterError, match=f"churn {setting}"):
+            churn("Echo", **kwargs)
+
     def test_wrong_argument_count_is_rejected_not_counted_stale(self):
         # Used to report 0 successes and 6 "stale faults" (§5.7).
         scenario = (

@@ -1,13 +1,18 @@
 """Tests for the SDE call handlers (§5.1.3, §5.2.3, §5.7)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cluster import op
+from repro.core.sde.call_handler import CallHandler
 from repro.errors import (
     NonExistentMethodError,
     RemoteApplicationError,
     ServerNotInitializedError,
 )
+from repro.interface import Parameter
+from repro.jpie import JPieEnvironment
 from repro.net.http import HttpClient
 from repro.rmitypes import INT, STRING
 from repro.soap.envelope import SoapRequest, SoapResponse
@@ -28,6 +33,48 @@ def _calculator(fast_scenario, technology="soap"):
     runtime = fast_scenario.service("Calculator", _operations(), technology=technology).build()
     runtime.publish("Calculator")
     return runtime
+
+
+class TestMethodMatching:
+    """``_match`` looks up the class's own distributed methods by name."""
+
+    @pytest.fixture
+    def calculator(self):
+        environment = JPieEnvironment()
+        base = environment.create_class("Base")
+        base.add_method("inherited", (), INT, body=lambda self: 0, distributed=True)
+        calculator = environment.create_class("Calculator", superclass=base)
+        calculator.add_method(
+            "add", (Parameter("a", INT), Parameter("b", INT)), INT,
+            body=lambda self, a, b: a + b, distributed=True,
+        )
+        calculator.add_method("helper", (), INT, body=lambda self: 1)
+        return calculator
+
+    @staticmethod
+    def _match(calculator, operation, arguments=()):
+        handler = CallHandler(manager=None, server=SimpleNamespace(dynamic_class=calculator))
+        return handler._match(operation, arguments)
+
+    def test_renamed_method_matches_under_its_new_name_only(self, calculator):
+        method = calculator.method("add")
+        method.rename("sum")
+        assert self._match(calculator, "sum", (1, 2)) is method
+        assert self._match(calculator, "add", (1, 2)) is None
+
+    def test_removed_method_is_not_matched(self, calculator):
+        assert self._match(calculator, "add", (1, 2)) is calculator.method("add")
+        calculator.remove_method("add")
+        assert self._match(calculator, "add", (1, 2)) is None
+
+    def test_method_without_distributed_is_not_matched(self, calculator):
+        assert self._match(calculator, "helper") is None
+        calculator.method("helper").set_distributed(True)
+        assert self._match(calculator, "helper") is calculator.method("helper")
+
+    def test_superclass_only_method_is_not_matched(self, calculator):
+        assert calculator.has_method("inherited")
+        assert self._match(calculator, "inherited") is None
 
 
 class TestSoapCallHandler:

@@ -8,6 +8,8 @@ from repro.rmitypes import ArrayType, DOUBLE, FieldDef, INT, STRING, StructType,
 from repro.soap.envelope import SoapResponse
 from repro.soap.wsdl import WsdlCompiler, generate_wsdl, parse_wsdl
 from repro.soap.wsdl.compiler import CompiledStub
+from repro.soap.wsdl.generator import build_wsdl_element
+from repro.xmlutil import serialize_pretty
 
 
 POINT = StructType("Point", (FieldDef("x", DOUBLE), FieldDef("y", DOUBLE)))
@@ -49,9 +51,8 @@ class TestGeneration:
 
     def test_pretty_output_parses_identically(self):
         description = build_description()
-        assert parse_wsdl(generate_wsdl(description, pretty=True)).same_signature(
-            parse_wsdl(generate_wsdl(description))
-        )
+        pretty = serialize_pretty(build_wsdl_element(description))
+        assert parse_wsdl(pretty).same_signature(parse_wsdl(generate_wsdl(description)))
 
 
 class TestParsing:
