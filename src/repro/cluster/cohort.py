@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.cluster.histogram import DEFAULT_BIN_WIDTH, LatencyHistogram
 from repro.cluster.report import CohortReport
@@ -69,13 +69,12 @@ from repro.errors import ClusterError, NoAliveReplicaError
 from repro.evolve.graph import ClientBinding
 from repro.util.validation import (
     require_finite,
+    require_int,
     require_non_negative,
     require_positive,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from array import array
-
     from repro.cluster.driver import FleetDriver
     from repro.cluster.registry import Replica, ServiceEntry, ServiceRegistry
     from repro.cluster.topology import ClusterWorld
@@ -117,10 +116,7 @@ class CohortModel:
     bin_width: float = DEFAULT_BIN_WIDTH
 
     def __post_init__(self) -> None:
-        if self.representatives < 0:
-            raise ClusterError(
-                f"cohort representatives must be non-negative, got {self.representatives}"
-            )
+        require_int(self.representatives, "cohort representatives", 0, ClusterError)
         require_finite(self.tick, "cohort tick", ClusterError)
         require_positive(self.tick, "cohort tick", ClusterError)
         for value, name in (
@@ -132,10 +128,7 @@ class CohortModel:
                 require_non_negative(value, name, ClusterError)
         require_finite(self.bin_width, "cohort bin_width", ClusterError)
         require_positive(self.bin_width, "cohort bin_width", ClusterError)
-        if self.max_attempts < 1:
-            raise ClusterError(
-                f"cohort max_attempts must be at least 1, got {self.max_attempts}"
-            )
+        require_int(self.max_attempts, "cohort max_attempts", 1, ClusterError)
 
 
 class CohortFlow:
@@ -158,7 +151,7 @@ class CohortFlow:
         arguments: tuple[Any, ...],
         calls: int,
         think_time: float,
-        offsets: "array[float]",
+        offsets: Sequence[float],
         model: CohortModel,
         host: "Host",
         world: "ClusterWorld",
@@ -172,7 +165,10 @@ class CohortFlow:
         self.arguments = arguments
         self.calls = calls
         self.think_time = think_time
-        #: Sorted per-client arrival offsets (seconds after flow start).
+        #: Sorted per-client arrival offsets (seconds after flow start), a
+        #: read-only float sequence: either the flow's own ``array("d")``
+        #: or a read-only strided ``memoryview`` of its group's offsets.
+        #: Only ``len``, indexing and ``bisect_right`` read it.
         self.offsets = offsets
         self.model = model
         self.host = host

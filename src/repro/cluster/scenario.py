@@ -67,7 +67,7 @@ from repro.net import LatencyModel
 from repro.net.simnet import Host
 from repro.rmitypes import RmiType, VOID
 from repro.traffic.arrivals import resolve_offsets, resolves_sorted
-from repro.util.validation import require_finite, require_non_negative
+from repro.util.validation import require_finite, require_int, require_non_negative
 
 #: Default protocol for services that do not name a technology.
 DEFAULT_TECHNOLOGY = "soap"
@@ -140,8 +140,7 @@ def churn(service: str, rounds: int = 3, period: float = 1.0, prefix: str = "chu
     distributed method is added to every replica of ``service`` and a
     publication is forced — sustained interface churn under load.
     """
-    if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1:
-        raise ClusterError(f"churn rounds must be an int of at least 1, got {rounds!r}")
+    require_int(rounds, "churn rounds", 1, ClusterError)
     require_finite(period, "churn period", ClusterError)
     require_non_negative(period, "churn period", ClusterError)
 
@@ -242,10 +241,9 @@ class Scenario:
         sets the default technology for services that do not name one;
         ``config`` overrides the scenario-wide :class:`SDEConfig` template.
         """
-        if count < 1:
-            raise ClusterError("a scenario needs at least one server")
-        if cores is not None and not cores >= 1:
-            raise ClusterError(f"cores must be at least 1 (or None for unbounded), got {cores!r}")
+        require_int(count, "server count", 1, ClusterError)
+        if cores is not None:
+            require_int(cores, "cores", 1, ClusterError)
         self._server_count = count
         self._server_cores = cores
         if technology is not None:
@@ -286,8 +284,7 @@ class Scenario:
         rollout arms it automatically when it starts, so the flag is only
         needed for scenarios that diverge replica versions by hand.
         """
-        if replicas < 1:
-            raise ClusterError(f"service {name!r} needs at least one replica")
+        require_int(replicas, f"service {name!r} replicas", 1, ClusterError)
         self._services.append(
             _ServiceSpec(
                 name, tuple(operations), technology, replicas, policy, version_routing
@@ -341,10 +338,10 @@ class Scenario:
         cohort=CohortModel(representatives=32), ...)`` is the
         million-client form.
         """
-        if count < 1:
-            raise ClusterError("a client group needs at least one client")
-        if calls < 1:
-            raise ClusterError(f"calls must be at least 1, got {calls!r}")
+        require_int(count, "client count", 1, ClusterError)
+        require_int(calls, "calls", 1, ClusterError)
+        if stale_every is not None:
+            require_int(stale_every, "stale_every", 1, ClusterError)
         if service is not None and protocol_mix is not None:
             raise ClusterError("give a client group either a service or a protocol_mix")
         require_finite(think_time, "think_time", ClusterError)
@@ -834,17 +831,25 @@ class ScenarioRuntime:
                 continue
             # The flow mass is positions discrete_count..count-1; tail
             # position j speaks tail_protocols[j % period].  One flow per
-            # protocol, in order of first appearance in the tail, takes its
-            # offsets by a periodic mask.  A subsequence of sorted offsets
-            # is sorted, so only unsorted resolutions are sorted per flow.
+            # protocol, in order of first appearance in the tail.  A
+            # subsequence of sorted offsets is sorted, so a protocol that
+            # owns one slot of a sorted group takes a read-only strided
+            # view of the group array, copying nothing; any other flow
+            # copies its offsets out by a periodic mask, sorted per flow
+            # when the resolution is unsorted.
             phase = discrete_count % period
             tail_protocols = protocols[phase:] + protocols[:phase]
             presorted = resolves_sorted(group.arrival)
             for protocol in dict.fromkeys(tail_protocols[: group.count - discrete_count]):
                 mask = [name == protocol for name in tail_protocols]
-                tail = islice(group_offsets, discrete_count, None)
-                taken = compress(tail, cycle(mask))
-                offsets = array("d", taken if presorted else sorted(taken))
+                offsets: Sequence[float]
+                if presorted and mask.count(True) == 1:
+                    start = discrete_count + mask.index(True)
+                    offsets = memoryview(group_offsets).toreadonly()[start::period]
+                else:
+                    tail = islice(group_offsets, discrete_count, None)
+                    taken = compress(tail, cycle(mask))
+                    offsets = array("d", taken if presorted else sorted(taken))
                 service = services[protocol]
                 flow_number = len(flows) + 1
                 flows.append(

@@ -44,6 +44,12 @@ class DynamicMethod:
         self.modifiers: set[Modifier] = set(modifiers or {Modifier.PUBLIC})
         self.owner = None  # set by DynamicClass.add_method
         self.invocation_count = 0
+        #: The frozen signature of the current name, parameters and return
+        #: type; every site that changes one of them resets it to ``None``.
+        self._signature: OperationSignature | None = None
+        # Validate the combination up front (duplicate parameter names), so
+        # an invalid method never reaches its owning class.
+        self.signature()
 
     # -- accessors -----------------------------------------------------------
 
@@ -73,12 +79,19 @@ class DynamicMethod:
         return Modifier.DISTRIBUTED in self.modifiers
 
     def signature(self) -> OperationSignature:
-        """The method's signature as a technology-neutral operation."""
-        return OperationSignature(
-            name=self._name,
-            parameters=self._parameters,
-            return_type=self._return_type,
-        )
+        """The method's signature as a technology-neutral operation.
+
+        Built and validated once per change of name, parameters or return
+        type; until the next such change every call returns the same
+        frozen object.
+        """
+        if self._signature is None:
+            self._signature = OperationSignature(
+                name=self._name,
+                parameters=self._parameters,
+                return_type=self._return_type,
+            )
+        return self._signature
 
     # -- invocation -------------------------------------------------------------
 
@@ -116,17 +129,19 @@ class DynamicMethod:
         if self.owner is not None:
             self.owner._rename_method(self, new_name)
         else:
-            self._name = new_name
+            self._apply_rename(new_name)
 
     def set_parameters(self, parameters: tuple[Parameter, ...]) -> None:
         """Replace the formal parameter list."""
         old = self._parameters
         self._parameters = tuple(parameters)
+        self._signature = None
         # Validate the combination early (duplicate names, etc.).
         try:
             self.signature()
         except Exception:
             self._parameters = old
+            self._signature = None
             raise
         if self.owner is not None:
             self.owner._method_signature_changed(
@@ -137,6 +152,7 @@ class DynamicMethod:
         """Change the declared return type."""
         old = self._return_type
         self._return_type = return_type
+        self._signature = None
         if self.owner is not None:
             self.owner._method_signature_changed(
                 self, f"return type {old.type_name} -> {return_type.type_name}"
@@ -177,6 +193,7 @@ class DynamicMethod:
 
     def _apply_rename(self, new_name: str) -> None:
         self._name = new_name
+        self._signature = None
 
     def __repr__(self) -> str:
         flags = ",".join(sorted(str(m) for m in self.modifiers))

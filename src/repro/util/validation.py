@@ -57,6 +57,19 @@ def require_non_negative(
         raise error(f"{name} must be non-negative, got {value!r}")
 
 
+def require_int(
+    value: object, name: str, minimum: int, error: type[Exception] = ValueError
+) -> None:
+    """Raise ``error`` unless ``value`` is an int (not a bool) ``>= minimum``.
+
+    Counts and strides must be whole: a float would be rounded up by some
+    ``range``/modulo use and rejected by another, and ``True`` would pass
+    as 1, so both are refused by type before the bound is checked.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise error(f"{name} must be an int of at least {minimum}, got {value!r}")
+
+
 def require_identifier(value: str, name: str) -> None:
     """Raise :class:`ValueError` unless ``value`` is a legal identifier.
 

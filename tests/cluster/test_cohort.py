@@ -247,6 +247,26 @@ class TestCohortModelValidation:
         with pytest.raises(ClusterError, match=f"cohort {field} {message}"):
             CohortModel(**{field: bad})
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("representatives", -1),
+            ("representatives", 2.5),
+            ("representatives", True),
+            ("max_attempts", 0),
+            ("max_attempts", 2.5),
+            ("max_attempts", True),
+        ],
+    )
+    def test_integer_settings_rejected_at_construction(self, field, bad):
+        # representatives=2.5 used to raise a raw TypeError at build, and
+        # max_attempts=2.5 retried as if it were 3.
+        with pytest.raises(ClusterError, match=f"cohort {field} must be an int"):
+            CohortModel(**{field: bad})
+
+    def test_zero_representatives_is_legal(self):
+        assert CohortModel(representatives=0).representatives == 0
+
 
 def _flow_offsets(clients, arrival, representatives=0):
     """Each cohort flow's offsets, as the scenario's plan stage builds them."""

@@ -1,13 +1,18 @@
 """The plan stage's bulk construction equals the per-client one it replaced.
 
 ``_weighted_interleave`` returns one period of the protocol sequence and
-``_build_plans`` builds each cohort flow's offsets from that period by a
-mask, instead of walking every client.  These tests pin both against the
-per-slot and per-position constructions they replaced, kept here as
-oracles, so a change to the plan stage cannot move a fingerprint.
+``_build_plans`` builds each cohort flow's offsets from that period,
+instead of walking every client: a flow that owns one slot of the period
+in a sorted group gets a read-only strided view of the group's offsets,
+and every other flow copies its offsets out by a periodic mask.  These
+tests pin both paths against the per-slot and per-position constructions
+they replaced, kept here as oracles, so a change to the plan stage cannot
+move a fingerprint.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +187,20 @@ _MIXES = {
     "corba-only": {"soap": 0.0, "corba": 1.0},
 }
 
+#: Per mix, the protocols that own exactly one slot of the interleave
+#: period (a ``service=`` group has period 1; 3:1 gives corba one of 4).
+_SINGLE_SLOT = {
+    "service": {"soap"},
+    "half-half": {"soap", "corba"},
+    "three-one": {"corba"},
+    "non-dyadic": set(),
+    "corba-only": {"corba"},
+}
+
+#: Scalar spacing and arrival processes resolve sorted; callables and
+#: recordings may not.
+_SORTED_ARRIVALS = {"scalar", "poisson"}
+
 
 class TestPlanEquivalence:
     @pytest.mark.parametrize("arrival", list(_ARRIVALS), ids=str)
@@ -202,6 +221,37 @@ class TestPlanEquivalence:
         plans, flows = bulk
         assert len(plans) == min(count, representatives)
         assert sum(len(offsets) for *_, offsets in flows) == count - len(plans)
+
+    @pytest.mark.parametrize("arrival", list(_ARRIVALS), ids=str)
+    @pytest.mark.parametrize("mix", list(_MIXES), ids=str)
+    @pytest.mark.parametrize("representatives", [32, 0, 3])
+    def test_single_slot_flows_of_sorted_groups_view_the_group_array(
+        self, arrival, mix, representatives
+    ):
+        law = _ARRIVALS[arrival]
+        if isinstance(law, list):
+            law = law[:1000]
+        runtime = _plan_scenario(1000, law, representatives, mix=_MIXES[mix]).build()
+        group = runtime.scenario._client_groups[0]
+        _plans, flows = runtime._build_plans()
+        viewed = _SINGLE_SLOT[mix] if arrival in _SORTED_ARRIVALS else set()
+        assert {flow.protocol for flow in flows} >= viewed
+        shared = set()
+        for flow in flows:
+            if flow.protocol in viewed:
+                assert isinstance(flow.offsets, memoryview)
+                assert flow.offsets.readonly
+                with pytest.raises(TypeError):
+                    flow.offsets[0] = -1.0
+                assert isinstance(flow.offsets.obj, array)
+                assert flow.offsets.obj.tolist() == resolve_offsets(
+                    group.arrival, group.count
+                ).tolist()
+                shared.add(id(flow.offsets.obj))
+            else:
+                assert type(flow.offsets) is array and flow.offsets.typecode == "d"
+        # Every view of a group looks into one and the same buffer.
+        assert len(shared) == (1 if viewed else 0)
 
     @pytest.mark.parametrize("representatives", [0, 1])
     def test_one_client_mix_needs_only_the_protocol_it_gets(self, representatives):

@@ -277,6 +277,46 @@ class TestSettingsValidation:
         with pytest.raises(ClusterError, match="calls"):
             Scenario().clients(2, calls=bad)
 
+    @pytest.mark.parametrize("bad", [1.5, True, 0, "2"])
+    def test_server_count_must_be_an_int(self, bad):
+        # servers(1.5) used to raise a raw TypeError at build.
+        with pytest.raises(ClusterError, match="server count must be an int"):
+            Scenario().servers(bad)
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_server_cores_must_be_an_int(self, bad):
+        # cores=1.5 used to raise a TypeError mid-run; cores=True ran.
+        with pytest.raises(ClusterError, match="cores must be an int"):
+            Scenario().servers(1, cores=bad)
+
+    @pytest.mark.parametrize("bad", [1.5, True, 0])
+    def test_replicas_must_be_an_int(self, bad):
+        # replicas=1.5 used to raise a raw TypeError at build.
+        with pytest.raises(ClusterError, match="'Echo' replicas must be an int"):
+            Scenario().service("Echo", [_echo_op()], replicas=bad)
+
+    @pytest.mark.parametrize("bad", [2.5, True, 0, -3])
+    def test_client_count_must_be_an_int(self, bad):
+        # clients(2.5) used to raise a raw TypeError at build.
+        with pytest.raises(ClusterError, match="client count must be an int"):
+            Scenario().clients(bad)
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_calls_must_be_an_int(self, bad):
+        # calls=2.5 used to issue 3 calls per client, and calls=True one.
+        with pytest.raises(ClusterError, match="calls must be an int"):
+            Scenario().clients(2, calls=bad)
+
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, True])
+    def test_stale_every_must_be_a_positive_int(self, bad):
+        # stale_every=0 used to disable stale calls, -2 acted as 2 and 1.5
+        # made every 3rd call stale.
+        with pytest.raises(ClusterError, match="stale_every must be an int"):
+            Scenario().clients(2, stale_every=bad)
+
+    def test_stale_every_none_is_allowed(self):
+        assert Scenario().clients(2, stale_every=None)._client_groups[0].stale_every is None
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1])
     def test_timeline_time_must_be_finite_and_non_negative(self, bad):
         # at(nan)/at(-1) used to leak a SchedulerError at run.

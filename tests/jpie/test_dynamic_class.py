@@ -7,8 +7,8 @@ from repro.errors import (
     MemberNotFoundError,
     SignatureError,
 )
-from repro.interface import Parameter
-from repro.jpie import DynamicClass, JPieEnvironment, Modifier
+from repro.interface import InterfaceError, OperationSignature, Parameter
+from repro.jpie import DynamicClass, DynamicMethod, JPieEnvironment, Modifier
 from repro.jpie.listeners import ClassChangeKind
 from repro.rmitypes import DOUBLE, INT, STRING, StructType, FieldDef
 
@@ -204,3 +204,69 @@ class TestChangeEvents:
         calculator.method("add").add_modifier(Modifier.DISTRIBUTED)  # already set
         calculator.method("add").remove_modifier(Modifier.STATIC)  # never set
         assert events == []
+
+
+def _fresh_signature(method):
+    return OperationSignature(
+        name=method.name, parameters=method.parameters, return_type=method.return_type
+    )
+
+
+class TestSignatureCache:
+    """``signature()`` is built once per change of name, parameters or type."""
+
+    def test_unchanged_method_returns_the_same_object(self, calculator):
+        method = calculator.method("add")
+        assert method.signature() is method.signature()
+        method.set_body(lambda self, a, b: a * b)
+        method.add_modifier(Modifier.STATIC)
+        assert method.signature() is method.signature()
+        assert calculator.distributed_signatures()[0] is method.signature()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda method: method.rename("plus"),
+            lambda method: method.set_parameters((Parameter("x", DOUBLE),)),
+            lambda method: method.set_return_type(STRING),
+        ],
+        ids=["rename", "parameters", "return-type"],
+    )
+    def test_each_edit_rebuilds_the_signature(self, calculator, edit):
+        method = calculator.method("add")
+        before = method.signature()
+        edit(method)
+        after = method.signature()
+        assert after == _fresh_signature(method)
+        assert after != before
+        assert method.signature() is after
+
+    def test_rename_without_owner_rebuilds_the_signature(self):
+        method = DynamicMethod("solo", (), INT)
+        before = method.signature()
+        method.rename("alone")
+        assert method.signature() == _fresh_signature(method) != before
+
+    def test_invalid_new_method_never_joins_the_class(self, environment, calculator):
+        # add_method used to raise here but leave the broken method in the
+        # class, without a change event or an undo record.
+        depth = environment.undo_stack.depth
+        with pytest.raises(InterfaceError, match="duplicate parameter 'a'"):
+            calculator.add_method("twice", (Parameter("a", INT), Parameter("a", INT)), INT)
+        assert not calculator.has_method("twice")
+        assert environment.undo_stack.depth == depth
+
+    def test_rejected_parameters_keep_the_old_signature(self, calculator):
+        method = calculator.method("add")
+        before = method.signature()
+        with pytest.raises(InterfaceError):
+            method.set_parameters((Parameter("a", INT), Parameter("a", INT)))
+        assert method.parameters == before.parameters
+        assert method.signature() == before == _fresh_signature(method)
+
+    def test_undo_of_a_rename_rebuilds_the_signature(self, environment, calculator):
+        method = calculator.method("add")
+        method.rename("plus")
+        environment.undo_stack.undo()
+        assert method.name == "add"
+        assert method.signature() == _fresh_signature(method)

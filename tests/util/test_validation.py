@@ -8,6 +8,7 @@ from repro.util.validation import (
     require,
     require_finite,
     require_identifier,
+    require_int,
     require_non_negative,
     require_positive,
     require_type,
@@ -75,6 +76,21 @@ class TestNumericChecks:
             require_positive(0, "delay", KeyError)
         with pytest.raises(KeyError):
             require_non_negative(-1, "count", KeyError)
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("value, minimum", [(0, 0), (1, 1), (7, 1), (10**12, 1)])
+    def test_accepts_ints_at_or_above_the_minimum(self, value, minimum):
+        require_int(value, "count", minimum)
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "3", None, math.nan])
+    def test_rejects_non_ints_and_bools(self, value):
+        with pytest.raises(ValueError, match="count must be an int of at least 0"):
+            require_int(value, "count", 0)
+
+    def test_rejects_below_the_minimum(self):
+        with pytest.raises(KeyError, match="count must be an int of at least 1, got 0"):
+            require_int(0, "count", 1, KeyError)
 
 
 class TestRequireIdentifier:
